@@ -30,7 +30,10 @@ namespace transform::bench {
 /// _base_builds_per_program).
 /// v3: the substrate record gained the phase-attributed allocation
 /// breakdown (sat_allocs_per_phase_<phase>, one key per obs::Phase).
-inline constexpr int kBenchSchemaVersion = 3;
+/// v4: the substrate record lost the per-candidate fresh-encoding rows
+/// (sat_*_per_sec, sat_allocs_per_program, spec_sat_*); the `.mtm` twin's
+/// SAT row is now spec_sat_incremental_*.
+inline constexpr int kBenchSchemaVersion = 4;
 
 /// The determinism contract's observable, shared by the scaling and
 /// substrate benches: canonical keys, order, sizes and (optionally) the

@@ -197,14 +197,13 @@ struct BackendRun {
 /// one backend at the given worker count.
 BackendRun
 run_workload(const mtm::Model& model, synth::Backend backend, int jobs,
-             int min_bound, int bound, bool sat_incremental = false)
+             int min_bound, int bound)
 {
     synth::SynthesisOptions opt;
     opt.min_bound = min_bound;
     opt.bound = bound;
     opt.jobs = jobs;
     opt.backend = backend;
-    opt.sat_incremental = sat_incremental;
     BackendRun run;
     std::vector<synth::SuiteResult> suites;
     const std::uint64_t allocations_before = obs::alloc_count();
@@ -236,13 +235,12 @@ run_workload(const mtm::Model& model, synth::Backend backend, int jobs,
 /// reject.
 BackendRun
 best_of(int repeats, const mtm::Model& model, synth::Backend backend,
-        int jobs, int min_bound, int bound, bool sat_incremental, bool* ok)
+        int jobs, int min_bound, int bound, bool* ok)
 {
-    BackendRun best =
-        run_workload(model, backend, jobs, min_bound, bound, sat_incremental);
+    BackendRun best = run_workload(model, backend, jobs, min_bound, bound);
     for (int rep = 1; rep < repeats; ++rep) {
-        BackendRun run = run_workload(model, backend, jobs, min_bound,
-                                      bound, sat_incremental);
+        BackendRun run =
+            run_workload(model, backend, jobs, min_bound, bound);
         if (run.fingerprint != best.fingerprint) {
             *ok = bench::check("repeat runs byte-identical", false) && *ok;
         }
@@ -355,7 +353,6 @@ witness_search_section()
                 "jobs", "wall (s)", "programs/s", "executions/s",
                 "allocs/prog");
     BackendRun sat_run;
-    BackendRun sat_inc_run;
     BackendRun enum_run;
     BackendRun spec_sat_run;
     BackendRun spec_enum_run;
@@ -367,7 +364,7 @@ witness_search_section()
         for (const int jobs : {1, 2, 4}) {
             const BackendRun run =
                 best_of(repeats, hardwired, backend, jobs, min_bound, bound,
-                        /*sat_incremental=*/false, &ok);
+                        &ok);
             std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
                         backend_name, "builtin", jobs, run.seconds,
                         run.programs / run.seconds,
@@ -394,8 +391,7 @@ witness_search_section()
         // interpreter (enumerative) and the generic circuit lowering (SAT)
         // against the hand-written axioms — and re-proves suite identity.
         const BackendRun spec_run =
-            best_of(repeats, twin->model, backend, 1, min_bound, bound,
-                    /*sat_incremental=*/false, &ok);
+            best_of(repeats, twin->model, backend, 1, min_bound, bound, &ok);
         std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
                     backend_name, "spec", 1, spec_run.seconds,
                     spec_run.programs / spec_run.seconds,
@@ -413,32 +409,6 @@ witness_search_section()
         } else {
             spec_enum_run = spec_run;
         }
-        if (backend != synth::Backend::kSat) {
-            continue;
-        }
-        // The assumption-based incremental SAT path (one live solver per
-        // worker, per-candidate placement by assumptions): suites must be
-        // byte-identical to the fresh-encoding rows above at every worker
-        // count — the speedup is not allowed to change a single test.
-        for (const int jobs : {1, 2, 4}) {
-            const BackendRun run =
-                best_of(repeats, hardwired, backend, jobs, min_bound, bound,
-                        /*sat_incremental=*/true, &ok);
-            std::printf("%12s %10s %6d %10.3f %12.0f %14.0f %12.1f\n",
-                        "sat+inc", "builtin", jobs, run.seconds,
-                        run.programs / run.seconds,
-                        run.executions / run.seconds,
-                        static_cast<double>(run.allocations) / run.programs);
-            if (jobs == 1) {
-                sat_inc_run = run;
-            }
-            ok = bench::check(("sat incremental suite byte-identical to "
-                               "fresh at jobs=" +
-                               std::to_string(jobs))
-                                  .c_str(),
-                              run.fingerprint == reference.fingerprint) &&
-                 ok;
-        }
     }
     // The synthesized test SET (keys + sizes) is backend-independent: a
     // program enters the suite iff some qualifying witness exists, which
@@ -447,19 +417,20 @@ witness_search_section()
                       sat_run.key_fingerprint == enum_run.key_fingerprint) &&
          ok;
 
-    // Structure-base economy of the jobs=1 incremental run: how many base
-    // encodings the session actually built vs how many structure revisits
-    // the cache absorbed. builds/program is the gated ratio — a broken
-    // cache shows up as it jumping toward the structure-change count.
+    // Structure-base economy of the jobs=1 SAT run: how many base
+    // encodings the live sessions actually built vs how many structure
+    // revisits the cache absorbed. builds/program is the gated ratio — a
+    // broken cache shows up as it jumping toward the structure-change
+    // count.
     const double base_builds_per_program =
-        static_cast<double>(sat_inc_run.bases_built) /
-        static_cast<double>(sat_inc_run.programs);
-    std::printf("\nsat+inc structure bases: built %" PRIu64
-                ", reused %" PRIu64 " (%.4f builds/prog)\n",
-                sat_inc_run.bases_built, sat_inc_run.bases_reused,
+        static_cast<double>(sat_run.bases_built) /
+        static_cast<double>(sat_run.programs);
+    std::printf("\nsat structure bases: built %" PRIu64 ", reused %" PRIu64
+                " (%.4f builds/prog)\n",
+                sat_run.bases_built, sat_run.bases_reused,
                 base_builds_per_program);
     ok = bench::check("incremental session reuses structure bases",
-                      sat_inc_run.bases_reused > 0) &&
+                      sat_run.bases_reused > 0) &&
          ok;
 
     const double judge_allocs = minimality_allocs_per_witness();
@@ -499,24 +470,16 @@ witness_search_section()
             bench::jint("bound", static_cast<std::uint64_t>(bound)),
             bench::jint("programs", sat_run.programs),
             bench::jint("tests", static_cast<std::uint64_t>(sat_run.tests)),
-            bench::jnum("sat_programs_per_sec",
+            bench::jnum("sat_incremental_programs_per_sec",
                         sat_run.programs / sat_run.seconds),
-            bench::jnum("sat_executions_per_sec",
+            bench::jnum("sat_incremental_executions_per_sec",
                         sat_run.executions / sat_run.seconds),
-            bench::jnum("sat_allocs_per_program",
+            bench::jnum("sat_incremental_allocs_per_program",
                         static_cast<double>(sat_run.allocations) /
                             sat_run.programs),
-            bench::jnum("sat_incremental_programs_per_sec",
-                        sat_inc_run.programs / sat_inc_run.seconds),
-            bench::jnum("sat_incremental_executions_per_sec",
-                        sat_inc_run.executions / sat_inc_run.seconds),
-            bench::jnum("sat_incremental_allocs_per_program",
-                        static_cast<double>(sat_inc_run.allocations) /
-                            sat_inc_run.programs),
-            bench::jint("sat_incremental_bases_built",
-                        sat_inc_run.bases_built),
+            bench::jint("sat_incremental_bases_built", sat_run.bases_built),
             bench::jint("sat_incremental_bases_reused",
-                        sat_inc_run.bases_reused),
+                        sat_run.bases_reused),
             bench::jnum("sat_incremental_base_builds_per_program",
                         base_builds_per_program),
             bench::jnum("minimality_allocs_per_witness", judge_allocs),
@@ -527,9 +490,9 @@ witness_search_section()
             bench::jnum("enum_allocs_per_program",
                         static_cast<double>(enum_run.allocations) /
                             enum_run.programs),
-            bench::jnum("spec_sat_programs_per_sec",
+            bench::jnum("spec_sat_incremental_programs_per_sec",
                         spec_sat_run.programs / spec_sat_run.seconds),
-            bench::jnum("spec_sat_allocs_per_program",
+            bench::jnum("spec_sat_incremental_allocs_per_program",
                         static_cast<double>(spec_sat_run.allocations) /
                             spec_sat_run.programs),
             bench::jnum("spec_enum_programs_per_sec",

@@ -238,6 +238,10 @@ execution_from_xml(const std::string& xml)
         if (e.thread < 0 || e.thread >= threads) {
             return std::nullopt;
         }
+        if (is_ghost(e.kind) &&
+            (e.parent < 0 || e.parent >= program.num_events())) {
+            return std::nullopt;  // a ghost's parent must precede it
+        }
         // Events must appear in id order for indices to line up.
         const EventId id = is_ghost(e.kind) ? program.add_ghost(e)
                                             : program.add_event(e);
@@ -246,6 +250,10 @@ execution_from_xml(const std::string& xml)
         }
     }
     for (const auto& [r, w] : rmws) {
+        if (r < 0 || r >= program.num_events() || w < 0 ||
+            w >= program.num_events()) {
+            return std::nullopt;
+        }
         program.add_rmw(r, w);
     }
 

@@ -1,25 +1,33 @@
 /// \file
-/// The SAT-based execution-space backend: a relational (Kodkod-style)
-/// encoding of all well-formed candidate executions of a fixed ELT program,
-/// mirroring how the paper's Alloy pipeline turns MTM questions into SAT.
+/// The one-program use of the one SAT encoder (mtm/encoding_detail.h): a
+/// relational (Kodkod-style) encoding of all well-formed candidate
+/// executions of a fixed ELT program, mirroring how the paper's Alloy
+/// pipeline turns MTM questions into SAT.
 ///
-/// Given a program, the encoding introduces choice variables for the
-/// communication witnesses (rf sources, translation sources, coherence
-/// orders, alias-creation orders), constrains them by the placement rules of
+/// The encoder introduces choice variables for the communication
+/// witnesses (rf sources, translation sources, coherence orders,
+/// alias-creation orders), constrains them by the placement rules of
 /// section IV-A, builds the Table-I relations as boolean circuits, and
-/// expresses each axiom of the model symbolically. Queries:
+/// expresses each axiom of the model symbolically. Addresses are selector
+/// variables; every query here builds the program's structure on a reset
+/// solver, sizes the selector domains from the program itself, and pins
+/// the program's addresses with unit clauses. Each answer therefore
+/// depends on the program alone. The other use, IncrementalEncoding
+/// (incremental.h), keeps the same circuits alive across many candidates.
+///
+/// Queries:
 ///  - does some execution violate a given axiom? (forbidden outcome exists)
 ///  - does some execution satisfy the whole transistency predicate?
-///  - enumerate every execution (optionally filtered), used both by the
-///    synthesis engine's SAT backend and to cross-check the explicit
-///    enumerator (they must agree — see tests/integration).
+///  - enumerate every execution (optionally filtered), used by the
+///    synthesis engine to pick a witness and cross-checked against the
+///    explicit enumerator (they must agree — see tests/integration).
 ///
 /// Enumeration is streaming: the solver produces one model at a time and
 /// the visitor decides whether to continue, so a caller looking for the
 /// first qualifying witness (synth::find_witness) stops the AllSAT loop
 /// right there instead of paying for the whole violating space up front.
 /// The vector-returning overload is a thin materializing wrapper kept for
-/// the cross-check tests and elt_check.
+/// the cross-check tests.
 #pragma once
 
 #include <functional>
@@ -42,28 +50,14 @@ struct EncodingStats {
     std::uint64_t models = 0;
 };
 
-/// Reusable substrate for ProgramEncoding queries: the expression arena,
-/// the CDCL solver, and the per-query Build containers (witness-choice
-/// maps, one-hot PA vectors, derived-relation RelExpr matrices), all reset
-/// with capacities kept at the start of every query. The synthesis engine
-/// owns one per worker and threads it through millions of per-program
-/// encodings; without one, each ProgramEncoding query builds and tears
-/// down everything. Not shareable between concurrent queries.
+/// Reusable substrate for ProgramEncoding queries: the expression arena
+/// and the CDCL solver, both reset with capacities kept at the start of
+/// every query. The synthesis engine owns one per worker; without one,
+/// each ProgramEncoding builds and tears down its own. Not shareable
+/// between concurrent queries.
 struct EncodingScratch {
-    EncodingScratch();
-    ~EncodingScratch();
-    EncodingScratch(const EncodingScratch&) = delete;
-    EncodingScratch& operator=(const EncodingScratch&) = delete;
-    EncodingScratch(EncodingScratch&&) noexcept;
-    EncodingScratch& operator=(EncodingScratch&&) noexcept;
-
     rel::BoolFactory factory;
     sat::Solver solver;
-
-    /// The pooled Build containers (opaque here: the layout is a private
-    /// contract of encoding.cpp).
-    struct Pool;
-    std::unique_ptr<Pool> pool;
 };
 
 /// Relational encoding of one program's execution space under a model.
@@ -109,10 +103,6 @@ class ProgramEncoding {
 
     /// Stats from the most recent query.
     const EncodingStats& stats() const { return stats_; }
-
-    /// Per-query encoding state (defined in encoding.cpp; public so the
-    /// extraction helpers there can reach it, but not part of the API).
-    struct Build;
 
   private:
     elt::Program program_;

@@ -1,49 +1,35 @@
 /// \file
-/// Incremental assumption-based twin of ProgramEncoding (the tentpole of
-/// the incremental-SAT work): one live SolverBackend per synthesis worker
-/// hosts a *structure-lifetime* base encoding shared by every candidate
-/// program with the same skeleton structure, and each candidate is solved
-/// purely under assumptions — no per-candidate clause emission at all.
+/// The live use of the one SAT encoder (mtm/encoding_detail.h): a session
+/// that solves a stream of candidate programs on one worker.
 ///
-/// The split exploits how the skeleton enumerator orders candidates:
-/// siblings differing only in VA assignment and Wpte target-PA choice are
-/// enumerated contiguously (the "structure" — event kinds, threads, ghost
-/// parents, remap links and rmw pairs — changes last). The session builds
-/// one superset encoding per structure in which VA and target-PA placement
-/// are one-hot *selector* variables, compiles the axiom circuit once, and
-/// pins each concrete candidate with one positive selector assumption per
-/// placement slot. Placement-validity rules that the fresh encoding bakes
-/// into its candidate sets (same-VA rf pairing, walk/INVLPG blocking,
-/// provenance VA matching, co_pa target-PA classes) are emitted once as
-/// selector-guarded base clauses, so unit propagation under the pinned
-/// selectors retires every invalid choice variable — the per-candidate
-/// assumption vector stays a handful of literals.
+/// Siblings that differ only in VA assignment and Wpte target PA share a
+/// skeleton *structure* (event kinds, threads, ghost parents, remap links
+/// and rmw pairs), and the skeleton enumerator emits them contiguously.
+/// The session builds one selector-based base encoding per structure,
+/// compiles the axiom circuit into it once, and solves each candidate
+/// purely under assumptions: one selector literal per placement slot, no
+/// per-candidate clause emission. The other use, ProgramEncoding
+/// (encoding.h), is the same circuit built for one program on a clean
+/// solver.
 ///
 /// AllSAT blocking clauses are the only per-candidate clauses and carry a
-/// per-candidate activation literal; advancing to the next candidate
-/// retires the literal (one unit clause) instead of resetting the solver,
-/// so learned clauses survive across a whole structure and reduce_db keeps
-/// managing the learned set as usual. The solver is reset only when the
-/// structure itself changes.
+/// per-candidate activation literal. Advancing to the next candidate
+/// assumes that literal false instead of resetting the solver, so learned
+/// clauses survive across a whole structure.
 ///
 /// Structures are not visited contiguously, though: the enumerator's last
 /// stages (rmw marking, linking variants) ping-pong between a handful of
 /// nearby structures. The session therefore keeps a small cache of built
-/// bases keyed by the structure signature — each base owns its solver,
-/// factory and projection templates, and revisiting a cached signature
-/// swaps the frozen base back in (bases_reused) instead of rebuilding
-/// (bases_built). The va_eq selector circuits inside a base are built
-/// lazily, on the first constraint that touches a pair — all before the
-/// projection freeze, so the no-clauses-after-freeze discipline holds.
+/// bases keyed by the structure signature; each base owns its solver and
+/// factory, and revisiting a cached signature swaps the frozen base back in
+/// (bases_reused) instead of rebuilding (bases_built).
 ///
-/// Contract against the fresh path (asserted by tests/sat_incremental_test
-/// and the engine's replay discipline): for every candidate, the verdict
-/// (does a violating execution exist / how many are there) and the set of
-/// enumerated executions match ProgramEncoding::enumerate exactly; only
-/// the *order* models stream in may differ, because the live solver's
-/// heuristic state carries over. Callers that need the fresh path's
-/// first-found witness byte-for-byte (the synthesis engine) replay
-/// accepted candidates through ProgramEncoding.
+/// Contract (tests/sat_incremental_test.cpp): for every candidate, the
+/// verdict and the set of enumerated executions match a ProgramEncoding
+/// of that candidate exactly. Only the *order* models stream in may
+/// differ, because the live solver's heuristic state carries over. Callers
+/// that need a witness that depends on the program alone (the synthesis
+/// engine) replay accepted candidates through ProgramEncoding.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +40,7 @@
 #include "elt/execution.h"
 #include "elt/program.h"
 #include "mtm/model.h"
-#include "sat/backend.h"
+#include "sat/solver.h"
 
 namespace transform::mtm {
 
@@ -78,11 +64,9 @@ class IncrementalEncoding {
     /// axiom filter, enumerate all well-formed executions), and the
     /// symbolic-domain bounds every candidate must fit in — \p max_vas
     /// bounds every event's VA index, \p max_pas bounds num_pas() and
-    /// every Wpte's map_pa. Drops any live base encoding. \p backend_name
-    /// selects the solver backend ("cdcl"); unknown names fall back to
-    /// the default CDCL backend.
+    /// every Wpte's map_pa. Drops any live base encoding.
     void configure(const Model* model, std::string axiom_name, int max_vas,
-                   int max_pas, std::string_view backend_name = "cdcl");
+                   int max_pas);
 
     /// Streams every well-formed execution of \p program violating the
     /// configured axiom. Verdict and model count match
@@ -92,35 +76,28 @@ class IncrementalEncoding {
     /// model's VM-awareness and fit the configured domain bounds.
     bool enumerate(const elt::Program& program, const ExecutionVisitor& visit);
 
-    /// The live base's solver backend. With the base cache each cached
-    /// base owns its own backend, so session-wide concerns (timing,
-    /// stats) go through set_timing()/lifetime_stats() below; this
-    /// accessor serves tests that poke the current solver directly.
-    sat::SolverBackend& backend();
-    const sat::SolverBackend& backend() const;
-
-    /// Enables/disables solve-wall-clock accounting on every backend the
+    /// Enables/disables solve-wall-clock accounting on every solver the
     /// session holds or later creates (cached bases included).
     void set_timing(bool enabled);
 
     /// Applies a persistent per-solve conflict budget (0 = unlimited) to
-    /// every backend the session holds or later creates. A budget-exhausted
+    /// every solver the session holds or later creates. A budget-exhausted
     /// candidate query makes enumerate() throw sat::BudgetExhausted — the
     /// engine treats that as a retryable shard fault (docs/robustness.md).
     void set_conflict_budget(std::int64_t budget);
 
     /// Installs a cooperative interrupt hook (see sat::Solver::set_interrupt)
-    /// on every backend the session holds or later creates. An interrupted
+    /// on every solver the session holds or later creates. An interrupted
     /// candidate query makes enumerate() return false, like a visitor veto;
     /// the cancelled caller discards the partial result.
     void set_interrupt(std::function<bool()> poll);
 
     /// Installs a per-solve latency observer (see
-    /// sat::Solver::set_solve_observer) on every backend the session holds
+    /// sat::Solver::set_solve_observer) on every solver the session holds
     /// or later creates. Fires only under set_timing(true).
     void set_solve_observer(std::function<void(std::uint64_t)> observer);
 
-    /// Merged lifetime counters across every backend the session ever
+    /// Merged lifetime counters across every solver the session ever
     /// owned (live base, cached bases, evicted bases' folded epochs),
     /// plus the session's bases_built/bases_reused. This is what the
     /// engine merges into SuiteResult::solver.

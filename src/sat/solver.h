@@ -5,8 +5,8 @@
 /// pipeline (see DESIGN.md, substitutions). Features: two-watched-literal
 /// propagation, first-UIP clause learning with recursive minimization, VSIDS
 /// branching with phase saving, Luby restarts, learned-clause database
-/// reduction, and solving under assumptions (used by the AllSAT enumerator
-/// and the relational layer's incremental queries).
+/// reduction, and solving under assumptions (used by the incremental
+/// encoding session's per-candidate queries).
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@
 /// This header is dependency-free (std only): the same AST feeds two
 /// compilers — the concrete interpreter over elt::DerivedRelations
 /// (spec/eval.h) and the symbolic lowering to rel::RelExpr circuits inside
-/// mtm::ProgramEncoding (mtm/encoding.cpp).
+/// the SAT encoder (mtm/incremental.cpp).
 #pragma once
 
 #include <memory>

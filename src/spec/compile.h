@@ -5,8 +5,8 @@
 ///    enumerative backend and the minimality judge call these millions of
 ///    times — they are scratch-threaded like the hardwired closures);
 ///  - symbolically, because each Axiom carries its AxiomDef and
-///    mtm::ProgramEncoding lowers that AST to rel::RelExpr circuits
-///    generically (mtm/encoding.cpp), so user-defined models need no
+///    the SAT encoder lowers that AST to rel::RelExpr circuits
+///    generically (mtm/incremental.cpp), so user-defined models need no
 ///    hand-written circuit.
 #pragma once
 

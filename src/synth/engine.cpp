@@ -119,10 +119,11 @@ struct WorkerScratch {
     elt::DeriveScratch derive;
     JudgeScratch judge;
     CanonicalScratch canonical;
-    mtm::EncodingScratch encoding;  ///< SAT backend: factory + solver reuse
-    /// SAT backend with sat_incremental: the worker's live solver session
-    /// (configured per suite by launch_suite; idle otherwise).
+    /// SAT backend: the worker's live solver session (configured per suite
+    /// by launch_suite; idle otherwise) and the factory + solver reused by
+    /// the one-program replays of accepted candidates.
     mtm::IncrementalEncoding incremental;
+    mtm::EncodingScratch encoding;
     /// Fault injection (docs/robustness.md): the suite's plan plus the
     /// probe identity of the candidate under evaluation — set per job and
     /// per candidate by search_shard, so firing is a pure function of
@@ -209,17 +210,15 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
 
     // Streaming AllSAT: consider() returning false stops the solver at
     // the first accepted witness instead of materializing the whole
-    // violating space. The worker's factory/solver pair is reused across
-    // every program of the shard. With sat_incremental, the search first
-    // PROBES through the worker's live assumption-based session (no
-    // per-candidate encoding; candidate order within a structure reuses
-    // one solver and its learned clauses). A probe acceptance only proves
-    // existence — the live solver's model order differs from a fresh
-    // solver's — so accepted candidates (the rare case) REPLAY through
-    // the fresh per-program encoding, reproducing the non-incremental
-    // witness and executions_considered byte for byte. Rejected
-    // candidates enumerate the same violating set either way, so the
-    // probe's execution count stands.
+    // violating space. The search first PROBES through the worker's live
+    // assumption-based session (no per-candidate encoding; candidates of
+    // one structure share a solver and its learned clauses). A probe
+    // acceptance only proves existence — the live solver's model order
+    // depends on the candidates before it — so accepted candidates (the
+    // rare case) REPLAY through a one-program encoding on a clean solver,
+    // whose witness and executions_considered depend on the program
+    // alone. Rejected candidates enumerate the same violating set either
+    // way, so the probe's execution count stands.
     auto sat_search = [&]() {
         // Allocations of the encode/solve machinery land in kSatEncode
         // (the time split between encode and solve comes from the solver's
@@ -231,17 +230,15 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
                                             scratch->fault_key,
                                             scratch->fault_attempt);
         }
-        if (options.sat_incremental) {
-            scratch->incremental.enumerate(program, consider);
-            if (!accepted || *timed_out) {
-                return;
-            }
-            considered = 0;  // the replay recounts from scratch
-            accepted = false;
-            // Note the replay re-derives and re-judges the executions the
-            // probe already visited: derive/judge phase totals honestly
-            // include that duplicated work (~4% of candidates accept).
+        scratch->incremental.enumerate(program, consider);
+        if (!accepted || *timed_out) {
+            return;
         }
+        considered = 0;  // the replay recounts from scratch
+        accepted = false;
+        // Note the replay re-derives and re-judges the executions the
+        // probe already visited: derive/judge phase totals honestly
+        // include that duplicated work.
         mtm::ProgramEncoding encoding(program, &model, &scratch->encoding);
         encoding.enumerate(axiom_name, consider);
     };
@@ -252,21 +249,14 @@ find_witness(const mtm::Model& model, const std::string& axiom_name,
         sat_search();
     } else {
         // Same search, with phase attribution. kSatSolve comes from the
-        // solvers' own gated clocks (set_timing) — the fresh per-program
-        // solver plus, under sat_incremental, the live session's backend —
-        // and kSatEncode is the remaining wall time of the encode+enumerate
-        // pair after subtracting solve time and the derive/judge time
-        // consider() already claimed above — so the phases never
-        // double-count.
+        // solvers' own gated clocks (set_timing) — the live session's
+        // solvers plus the replay solver — and kSatEncode is the remaining
+        // wall time of the probe+replay pair after subtracting solve time
+        // and the derive/judge time consider() already claimed above — so
+        // the phases never double-count.
         auto solve_nanos = [&]() {
-            std::uint64_t nanos =
-                scratch->encoding.solver.lifetime_stats().solve_nanos;
-            if (options.sat_incremental) {
-                // Session-level: sums the live base's backend and every
-                // cached base's.
-                nanos += scratch->incremental.lifetime_stats().solve_nanos;
-            }
-            return nanos;
+            return scratch->encoding.solver.lifetime_stats().solve_nanos +
+                   scratch->incremental.lifetime_stats().solve_nanos;
         };
         const auto inner_nanos = [&]() {
             return metrics->worker_phase_nanos(worker, obs::Phase::kDerive) +
@@ -646,12 +636,12 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
 {
     const SynthesisOptions& options = raw->options;
     WorkerScratch& scratch = raw->worker_scratch[worker];
-    // The fresh-path solver may be mid-encoding and the incremental
-    // session mid-enumeration; reset both so the worker's next job starts
-    // clean. configure() keeps session configuration (timing, conflict
-    // budget, interrupt, cache capacity) and rebuilds the solver state.
+    // The replay solver may be mid-encoding and the incremental session
+    // mid-enumeration; reset both so the worker's next job starts clean.
+    // configure() keeps session configuration (timing, conflict budget,
+    // interrupt, cache capacity) and rebuilds the solver state.
     scratch.encoding.solver.reset();
-    if (options.backend == Backend::kSat && options.sat_incremental) {
+    if (options.backend == Backend::kSat) {
         scratch.incremental.configure(&raw->model, raw->axiom,
                                       options.max_vas,
                                       options.max_vas +
@@ -955,7 +945,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     auto run = std::make_unique<SuiteRun>(model, axiom_name, options);
     run->axiom_index = run->model.axiom_index(axiom_name);
     run->worker_scratch.resize(pool.workers());
-    if (options.backend == Backend::kSat && options.sat_incremental) {
+    if (options.backend == Backend::kSat) {
         // One live incremental session per worker for the whole suite; the
         // model pointer must be the run's own copy, which outlives every
         // job. The domain bounds cover every candidate the skeleton
@@ -998,10 +988,10 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     SuiteRun* raw = run.get();
     sched::WorkStealingPool* pool_ptr = &pool;
     if (options.sat_conflict_budget > 0) {
-        // Per-solve conflict cap on every per-worker solver (fresh path
-        // and incremental sessions). Exhaustion raises BudgetExhausted out
-        // of the search, which the fault-containment boundary treats like
-        // any other shard fault.
+        // Per-solve conflict cap on every per-worker solver (replay
+        // solver and incremental session). Exhaustion raises
+        // BudgetExhausted out of the search, which the fault-containment
+        // boundary treats like any other shard fault.
         for (WorkerScratch& scratch : run->worker_scratch) {
             scratch.encoding.solver.set_conflict_budget(
                 options.sat_conflict_budget);
@@ -1144,9 +1134,9 @@ finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
     // under the enumerative backend.
     for (const WorkerScratch& scratch : run.worker_scratch) {
         result.solver.merge(scratch.encoding.solver.lifetime_stats());
-        // The incremental sessions (all-zero when the suite ran
-        // fresh-per-candidate or enumerative); session-level, so cached
-        // bases' backends and base build/reuse counts are included.
+        // The incremental sessions (all-zero under the enumerative
+        // backend); session-level, so cached bases' solvers and base
+        // build/reuse counts are included.
         result.solver.merge(scratch.incremental.lifetime_stats());
     }
     if (run.metrics != nullptr) {

@@ -90,18 +90,8 @@ struct SynthesisOptions {
     double time_budget_seconds = 0;  ///< 0 = unlimited (paper used one week)
     Backend backend = Backend::kEnumerative;
 
-    /// SAT backend only: reuse one live solver per worker across candidates
-    /// (assumption-based incremental solving — see mtm/incremental.h).
-    /// Candidates sharing a skeleton structure share one base encoding and
-    /// one learned-clause database; accepted candidates are replayed
-    /// through the fresh per-program encoding, so the synthesized suite is
-    /// byte-identical with this on or off (tests/sat_incremental_test.cpp).
-    /// Off = build a fresh encoding per candidate (the pre-incremental
-    /// behavior, kept as an escape hatch: --sat-incremental off).
-    bool sat_incremental = true;
-
-    /// Incremental SAT only: how many structure bases each worker session
-    /// caches, the live one included (see
+    /// SAT backend only: how many structure bases each worker's live
+    /// session caches, the live one included (see
     /// mtm::IncrementalEncoding::set_base_cache_capacity; 0 and 1 both
     /// disable caching). Purely a performance knob — the synthesized suite
     /// is byte-identical for every capacity (the differential tests sweep

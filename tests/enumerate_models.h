@@ -1,11 +1,34 @@
-#include "sat/enumerator.h"
+/// \file
+/// AllSAT model enumeration over a projection set: the reference the
+/// solver tests count models with. Each model is projected onto the given
+/// variables, a blocking clause over the projection excludes it, and the
+/// solver is re-run.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "sat/solver.h"
+#include "sat/types.h"
 
 namespace transform::sat {
 
-EnumerationStats
+/// Statistics from an enumeration run.
+struct EnumerationStats {
+    std::uint64_t models = 0;
+    std::uint64_t blocked_clauses = 0;
+    bool exhausted = false;  ///< true when the space was fully enumerated
+};
+
+/// Enumerates satisfying assignments of \p solver projected onto
+/// \p projection. For each model, \p visit receives the projected values
+/// (true/false per projection variable, positionally). \p visit may return
+/// false to stop early. \p max_models <= 0 means unlimited.
+inline EnumerationStats
 enumerate_models(Solver* solver, const std::vector<Var>& projection,
                  const std::function<bool(const std::vector<bool>&)>& visit,
-                 std::int64_t max_models)
+                 std::int64_t max_models = -1)
 {
     EnumerationStats stats;
     std::vector<bool> values(projection.size());
@@ -29,8 +52,7 @@ enumerate_models(Solver* solver, const std::vector<Var>& projection,
         if (!visit(values)) {
             return stats;
         }
-        // Block this projected model: at least one projection variable must
-        // differ in the next model.
+        // At least one projection variable must differ in the next model.
         Clause blocking;
         blocking.reserve(projection.size());
         for (std::size_t i = 0; i < projection.size(); ++i) {

@@ -1,15 +1,19 @@
 /// \file
 /// Integration tests: the explicit execution enumerator and the
 /// SAT/relational backend must agree on the execution space of every
-/// program, and the synthesis pipeline must be backend-independent.
+/// program, axiom by axiom, under every model of the zoo, and the
+/// synthesis pipeline must be backend-independent.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "elt/derive.h"
 #include "elt/fixtures.h"
 #include "mtm/encoding.h"
+#include "spec/registry.h"
 #include "synth/engine.h"
 #include "synth/exec_enum.h"
 #include "synth/skeleton.h"
@@ -34,21 +38,64 @@ fingerprint(const Execution& e)
     return out;
 }
 
+/// The explicit enumerator is the reference for the SAT encoder: the
+/// whole execution space must agree, and so must the violating subset of
+/// every axiom of the model (the axiom circuits against the concrete
+/// evaluators).
 void
 expect_backends_agree(const Program& program, const mtm::Model& model)
 {
     std::set<std::string> explicit_set;
-    synth::for_each_execution(program, model.vm_aware(),
-                              [&](const Execution& e) {
-                                  explicit_set.insert(fingerprint(e));
-                                  return true;
-                              });
+    std::map<std::string, std::set<std::string>> explicit_violating;
+    synth::for_each_execution(
+        program, model.vm_aware(), [&](const Execution& e) {
+            explicit_set.insert(fingerprint(e));
+            const elt::DerivedRelations d =
+                elt::derive(e, model.derive_options());
+            if (d.well_formed) {
+                for (const std::string& axiom :
+                     model.violated_axioms(e.program, d)) {
+                    explicit_violating[axiom].insert(fingerprint(e));
+                }
+            }
+            return true;
+        });
     mtm::ProgramEncoding encoding(program, &model);
     std::set<std::string> sat_set;
     for (const Execution& e : encoding.enumerate()) {
         sat_set.insert(fingerprint(e));
     }
-    EXPECT_EQ(explicit_set, sat_set);
+    EXPECT_EQ(explicit_set, sat_set) << model.name();
+    for (const mtm::Axiom& axiom : model.axioms()) {
+        std::set<std::string> sat_violating;
+        for (const Execution& e : encoding.enumerate(axiom.name)) {
+            sat_violating.insert(fingerprint(e));
+        }
+        EXPECT_EQ(explicit_violating[axiom.name], sat_violating)
+            << model.name() << " axiom " << axiom.name;
+    }
+}
+
+/// Checks every \p stride-th skeleton candidate at \p bound, up to
+/// \p samples of them: a spread of shapes, kept fast.
+void
+expect_backends_agree_on_skeletons(const mtm::Model& model, int bound,
+                                   int stride, int samples)
+{
+    synth::SkeletonOptions opt;
+    opt.num_events = bound;
+    opt.max_threads = 2;
+    opt.vm_enabled = model.vm_aware();
+    int seen = 0;
+    int sampled = 0;
+    synth::for_each_skeleton(opt, [&](const Program& p) {
+        if (seen++ % stride != 0) {
+            return true;
+        }
+        expect_backends_agree(p, model);
+        return ++sampled < samples;
+    });
+    EXPECT_GT(sampled, 0) << model.name() << " bound " << bound;
 }
 
 TEST(BackendEquivalence, PaperPrograms)
@@ -70,16 +117,18 @@ TEST(BackendEquivalence, McmPrograms)
 
 TEST(BackendEquivalence, SampledSkeletons)
 {
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SkeletonOptions opt;
-    opt.num_events = 4;
-    opt.max_threads = 2;
-    int sampled = 0;
-    synth::for_each_skeleton(opt, [&](const Program& p) {
-        expect_backends_agree(p, model);
-        return ++sampled < 12;  // a spread of shapes, kept fast
-    });
-    EXPECT_GT(sampled, 0);
+    expect_backends_agree_on_skeletons(mtm::x86t_elt(), 4, 1, 12);
+    // Bound 5 in both VM modes.
+    expect_backends_agree_on_skeletons(mtm::x86t_elt(), 5, 7, 60);
+    expect_backends_agree_on_skeletons(mtm::x86tso(), 5, 7, 60);
+    // Every model of the zoo, its `.mtm` axioms lowered to circuits.
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const std::optional<spec::ResolvedModel> resolved =
+            spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << entry.name << ": " << error;
+        expect_backends_agree_on_skeletons(resolved->model, 4, 5, 20);
+    }
 }
 
 TEST(SynthesisBackends, SameSuiteAtSmallBound)

@@ -1,17 +1,16 @@
 /// \file
-/// Differential battery for the assumption-based incremental SAT path
-/// (mtm/incremental.h): the live per-worker session must be
-/// observationally indistinguishable from the fresh per-candidate
-/// encoding at every level —
+/// Differential battery for the live incremental SAT session
+/// (mtm/incremental.h) against the one-program query (mtm/encoding.h),
+/// which solves each program on a clean solver:
 ///
 ///  - per candidate: the enumerated model set over the projection
-///    variables matches the fresh ProgramEncoding exactly, across the
-///    whole embedded model zoo, every axiom (plus unfiltered
+///    variables matches a ProgramEncoding of the candidate exactly,
+///    across the whole embedded model zoo, every axiom (plus unfiltered
 ///    enumeration), and several event bounds;
 ///  - per suite: synthesize_suite output is byte-identical (tests, their
-///    order, witnesses, violated sets, and the search counters) with
-///    sat_incremental on or off, for every model of the zoo and across
-///    the jobs x shard-depth matrix.
+///    order, witnesses, violated sets, and the search counters) with the
+///    structure-base cache off or at its default capacity, for every
+///    model of the zoo and across the jobs x shard-depth matrix.
 ///
 /// These tests run under TSan/ASan in CI (see .github/workflows), so the
 /// bounds are chosen to keep each case in the hundreds of milliseconds.
@@ -47,8 +46,7 @@ execution_key(const elt::Execution& e)
 
 /// Full byte-level signature of a suite sequence: program events, witness
 /// vectors, violated sets, and the counters the determinism contract
-/// covers. Any divergence between the incremental and fresh paths shows
-/// up here.
+/// covers.
 std::string
 suite_signature(const std::vector<synth::SuiteResult>& suites)
 {
@@ -109,10 +107,10 @@ zoo_names()
     return names;
 }
 
-/// Per-candidate differential: one live session vs a fresh encoding per
-/// skeleton candidate, over every axiom of the model (and the unfiltered
-/// enumeration) at the given bound. The model multisets must be equal
-/// candidate by candidate — not just the counts.
+/// Per-candidate differential: one live session vs a clean one-program
+/// encoding per skeleton candidate, over every axiom of the model (and the
+/// unfiltered enumeration) at the given bound. The model multisets must be
+/// equal candidate by candidate — not just the counts.
 void
 check_per_candidate(const mtm::Model& model, int bound)
 {
@@ -165,6 +163,10 @@ TEST(SatIncremental, PerCandidateModelsMatchFreshBuiltinsBound5)
     check_per_candidate(mtm::x86t_elt(), 5);
 }
 
+/// Suite differential: the base cache is invisible to suites (the replay
+/// picks every witness on a clean solver), so capacity 0 — every
+/// structure change rebuilds — and the default capacity agree byte for
+/// byte, witnesses included.
 TEST(SatIncremental, SuitesByteIdenticalAcrossZoo)
 {
     for (const std::string& name : zoo_names()) {
@@ -173,13 +175,14 @@ TEST(SatIncremental, SuitesByteIdenticalAcrossZoo)
         options.min_bound = 2;
         options.bound = 4;
         options.backend = synth::Backend::kSat;
-        options.sat_incremental = false;
-        const std::string fresh =
+        options.sat_base_cache_capacity = 0;
+        const std::string uncached =
             suite_signature(synth::synthesize_all(model, options));
-        options.sat_incremental = true;
-        const std::string live =
+        options.sat_base_cache_capacity =
+            synth::SynthesisOptions().sat_base_cache_capacity;
+        const std::string cached =
             suite_signature(synth::synthesize_all(model, options));
-        EXPECT_EQ(fresh, live) << name;
+        EXPECT_EQ(uncached, cached) << name;
     }
 }
 
@@ -190,19 +193,23 @@ TEST(SatIncremental, SuitesByteIdenticalAcrossJobsAndShardDepth)
     options.min_bound = 3;
     options.bound = 5;
     options.backend = synth::Backend::kSat;
-    options.sat_incremental = false;
+    options.sat_base_cache_capacity = 0;
     options.jobs = 1;
     const std::string reference =
         suite_signature(synth::synthesize_all(model, options));
-    options.sat_incremental = true;
-    for (const int jobs : {1, 2, 4}) {
-        for (const int shard_depth : {0, 1, 2}) {
-            options.jobs = jobs;
-            options.shard_depth = shard_depth;
-            const std::string live =
-                suite_signature(synth::synthesize_all(model, options));
-            EXPECT_EQ(reference, live)
-                << "jobs=" << jobs << " shard_depth=" << shard_depth;
+    for (const int capacity :
+         {0, synth::SynthesisOptions().sat_base_cache_capacity}) {
+        for (const int jobs : {1, 2, 4}) {
+            for (const int shard_depth : {0, 1, 2}) {
+                options.sat_base_cache_capacity = capacity;
+                options.jobs = jobs;
+                options.shard_depth = shard_depth;
+                const std::string run =
+                    suite_signature(synth::synthesize_all(model, options));
+                EXPECT_EQ(reference, run)
+                    << "capacity=" << capacity << " jobs=" << jobs
+                    << " shard_depth=" << shard_depth;
+            }
         }
     }
 }
@@ -262,50 +269,6 @@ TEST(SatIncremental, BaseCacheOffMatchesDefaultPerCandidate)
               cached.session_stats().bases_built);
     EXPECT_EQ(cached.lifetime_stats().bases_reused,
               cached.session_stats().bases_reused);
-}
-
-/// Base-cache differential, per suite: synthesize_all through the engine
-/// with the cache off vs the default capacity must be byte-identical for
-/// every zoo model and across the jobs x shard-depth matrix (the replay
-/// discipline makes cache effects invisible to suites; this pins it).
-TEST(SatIncremental, SuitesByteIdenticalWithBaseCacheOnOrOff)
-{
-    for (const std::string& name : zoo_names()) {
-        const mtm::Model model = zoo_model(name);
-        synth::SynthesisOptions options;
-        options.min_bound = 2;
-        options.bound = 4;
-        options.backend = synth::Backend::kSat;
-        options.sat_incremental = true;
-        options.sat_base_cache_capacity = 0;
-        const std::string uncached =
-            suite_signature(synth::synthesize_all(model, options));
-        options.sat_base_cache_capacity = 8;
-        const std::string cached =
-            suite_signature(synth::synthesize_all(model, options));
-        EXPECT_EQ(uncached, cached) << name;
-    }
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions options;
-    options.min_bound = 3;
-    options.bound = 5;
-    options.backend = synth::Backend::kSat;
-    options.sat_incremental = true;
-    options.sat_base_cache_capacity = 0;
-    options.jobs = 1;
-    const std::string reference =
-        suite_signature(synth::synthesize_all(model, options));
-    options.sat_base_cache_capacity = 8;
-    for (const int jobs : {1, 2, 4}) {
-        for (const int shard_depth : {0, 1, 2}) {
-            options.jobs = jobs;
-            options.shard_depth = shard_depth;
-            const std::string cached =
-                suite_signature(synth::synthesize_all(model, options));
-            EXPECT_EQ(reference, cached)
-                << "jobs=" << jobs << " shard_depth=" << shard_depth;
-        }
-    }
 }
 
 /// The session survives a visitor that stops mid-enumeration (the

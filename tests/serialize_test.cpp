@@ -83,6 +83,25 @@ TEST(Serialize, RejectsGarbage)
     EXPECT_FALSE(execution_from_xml("not xml").has_value());
     EXPECT_FALSE(execution_from_xml("<wrong/>").has_value());
     EXPECT_FALSE(execution_from_xml("<elt threads=\"1\">").has_value());
+    // Out-of-range indices are malformed input, not program-construction
+    // invariant violations: a ghost's parent and an rmw pair's events.
+    const std::string events = "<elt threads=\"1\">\n"
+                               "  <read id=\"0\" thread=\"0\" va=\"0\"/>\n"
+                               "  <write id=\"1\" thread=\"0\" va=\"0\"/>\n";
+    EXPECT_FALSE(execution_from_xml(events +
+                                    "  <rptw id=\"2\" parent=\"99\"/>\n"
+                                    "</elt>\n")
+                     .has_value());
+    EXPECT_FALSE(
+        execution_from_xml(events + "  <rptw id=\"2\"/>\n</elt>\n")
+            .has_value());
+    EXPECT_FALSE(execution_from_xml(events +
+                                    "  <rmw read=\"0\" write=\"7\"/>\n"
+                                    "</elt>\n")
+                     .has_value());
+    EXPECT_FALSE(
+        execution_from_xml(events + "  <rmw write=\"1\"/>\n</elt>\n")
+            .has_value());
 }
 
 TEST(Serialize, ProgramXmlMentionsKinds)

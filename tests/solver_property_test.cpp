@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sat/enumerator.h"
+#include "enumerate_models.h"
 #include "sat/solver.h"
 
 namespace transform::sat {

@@ -23,12 +23,6 @@
 ///   --vas N           max data VAs (default 2)
 ///   --budget SECONDS  time budget per suite (default unlimited)
 ///   --backend NAME    enum (default) | sat
-///   --sat-incremental on|off
-///                     under --backend sat: keep one live solver per
-///                     worker across candidates (assumption-based
-///                     placement, learned clauses retained; default on)
-///                     or re-encode every candidate from scratch (off).
-///                     The suite is byte-identical either way.
 ///   --jobs N          scheduler workers (0 = one per hardware thread)
 ///   --shard-depth D   auto (default: lazy adaptive re-splitting) | fixed
 ///                     prefix depth 1..32; the suite is identical either way
@@ -143,7 +137,6 @@ struct Args {
     int vas = 2;
     double budget = 0;
     std::string backend = "enum";
-    bool sat_incremental = true;
     int jobs = 1;
     int shard_depth = 0;                  // 0 = adaptive
     std::uint64_t resplit_threshold = 0;  // 0 = cost model
@@ -273,7 +266,6 @@ run_suite(const mtm::Model& model, const std::string& axiom,
     options.time_budget_seconds = args.budget;
     options.backend = args.backend == "sat" ? synth::Backend::kSat
                                             : synth::Backend::kEnumerative;
-    options.sat_incremental = args.sat_incremental;
     options.jobs = args.jobs;
     options.shard_depth = args.shard_depth;
     options.resplit_threshold = args.resplit_threshold;
@@ -466,15 +458,6 @@ main(int argc, char** argv)
             }
         } else if (flag == "--backend") {
             args.backend = value();
-        } else if (flag == "--sat-incremental") {
-            const std::string text = value();
-            if (text == "on") {
-                args.sat_incremental = true;
-            } else if (text == "off") {
-                args.sat_incremental = false;
-            } else {
-                return usage_error(flag, "'on' or 'off'", text);
-            }
         } else if (flag == "--jobs") {
             const std::string text = value();
             if (!tools::parse_jobs(text, &args.jobs)) {
@@ -631,9 +614,9 @@ main(int argc, char** argv)
     // still merged, printed, and (if journaling) resumable.
     const util::CancelToken cancel = util::install_signal_cancel();
     // Checkpoint journal: the fingerprint covers everything that shapes
-    // the shard task tree or the suites. --jobs and --sat-incremental are
-    // deliberately absent — the suite and the task tree are byte-identical
-    // across them (the determinism contract), so a resume may change them.
+    // the shard task tree or the suites. --jobs is deliberately absent —
+    // the suite and the task tree are byte-identical across it (the
+    // determinism contract), so a resume may change it.
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
         const std::string fingerprint =
