@@ -33,7 +33,10 @@ namespace transform::bench {
 /// v4: the substrate record lost the per-candidate fresh-encoding rows
 /// (sat_*_per_sec, sat_allocs_per_program, spec_sat_*); the `.mtm` twin's
 /// SAT row is now spec_sat_incremental_*.
-inline constexpr int kBenchSchemaVersion = 4;
+/// v5: the substrate record lost the `.mtm` twin rows (spec_enum_*,
+/// spec_sat_incremental_*): x86t_elt is its compiled `.mtm` source, so
+/// there is no second model to price.
+inline constexpr int kBenchSchemaVersion = 5;
 
 /// The determinism contract's observable, shared by the scaling and
 /// substrate benches: canonical keys, order, sizes and (optionally) the

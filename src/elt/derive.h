@@ -86,9 +86,9 @@ struct CycleScratch {
     std::vector<int> edges;   ///< flat successor lists
     std::vector<int> color;   ///< DFS colors (0 white / 1 grey / 2 black)
     std::vector<std::pair<int, std::size_t>> stack;  ///< DFS stack
-    /// Caller-side temporary for axioms that need to assemble an edge-set
-    /// union before the cycle check (e.g. the SC causality variant).
-    EdgeSet tmp_edges;
+    /// po_mem, materialized for `.mtm` axioms that take it in an acyclic
+    /// union (spec/eval.h), since no DerivedRelations field stores it.
+    EdgeSet po_mem;
     /// Edge-set arena for the `.mtm` DSL axiom evaluator (spec/eval.h):
     /// slots are acquired stack-wise per expression node and released
     /// wholesale at the end of each axiom evaluation, so in steady state a

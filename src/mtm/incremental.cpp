@@ -8,7 +8,6 @@
 #include "mtm/encoding_detail.h"
 #include "obs/alloc.h"
 #include "rel/bool_factory.h"
-#include "rel/constraints.h"
 #include "rel/relation.h"
 #include "sat/solver.h"
 #include "spec/ast.h"
@@ -112,30 +111,12 @@ needs_for_expr(const spec::Expr& e, std::vector<const spec::Expr*>* visited)
 
 }  // namespace
 
-/// Hardwired axioms have a fixed footprint per tag; a `.mtm` axiom's
-/// footprint is read off its expression DAG.
+/// An axiom's footprint is read off its expression DAG.
 unsigned
 needs_for(const Axiom& axiom)
 {
-    switch (axiom.tag) {
-    case AxiomTag::kScPerLoc:
-        return kNeedRf | kNeedFr | kNeedPoLoc;
-    case AxiomTag::kRmwAtomicity:
-        return kNeedFr;
-    case AxiomTag::kCausalityTso:
-    case AxiomTag::kCausalitySc:
-        return kNeedRfe | kNeedFr | kNeedPpoFenceConst;
-    case AxiomTag::kInvlpg:
-        return kNeedFrVa | kNeedPoConst | kNeedRemapConst;
-    case AxiomTag::kTlbCausality:
-        return kNeedPtwSource | kNeedRf | kNeedFr;
-    case AxiomTag::kExpr: {
-        TF_ASSERT(axiom.def != nullptr && axiom.def->expr != nullptr);
-        std::vector<const spec::Expr*> visited;
-        return needs_for_expr(*axiom.def->expr, &visited);
-    }
-    }
-    TF_PANIC("unknown axiom tag");
+    std::vector<const spec::Expr*> visited;
+    return needs_for_expr(*axiom.def->expr, &visited);
 }
 
 // ----------------------------------------------------------------------
@@ -1090,59 +1071,16 @@ SelectorEncoding::compile_expr(const Program& p, const spec::Expr& e)
 ExprId
 SelectorEncoding::axiom_circuit(const Program& p, const Axiom& ax)
 {
-    if (ax.tag == AxiomTag::kExpr) {
-        TF_ASSERT(ax.def != nullptr && ax.def->expr != nullptr);
-        const RelExpr r = compile_expr(p, *ax.def->expr);
-        switch (ax.def->form) {
-        case spec::AxiomForm::kAcyclic:
-            return r.acyclic(factory);
-        case spec::AxiomForm::kIrreflexive:
-            return r.irreflexive(factory);
-        case spec::AxiomForm::kEmpty:
-            return r.is_empty(factory);
-        }
-        TF_PANIC("unknown axiom form");
+    const RelExpr r = compile_expr(p, *ax.def->expr);
+    switch (ax.def->form) {
+    case spec::AxiomForm::kAcyclic:
+        return r.acyclic(factory);
+    case spec::AxiomForm::kIrreflexive:
+        return r.irreflexive(factory);
+    case spec::AxiomForm::kEmpty:
+        return r.is_empty(factory);
     }
-    switch (ax.tag) {
-    case AxiomTag::kScPerLoc:
-        return rel::acyclic_union(factory, {&rf, &co, &fr, &po_loc});
-    case AxiomTag::kRmwAtomicity: {
-        ExprId acc = rel::kTrueExpr;
-        for (const auto& [r, w] : p.rmw_pairs()) {
-            for (EventId mid = 0; mid < n; ++mid) {
-                acc = factory->mk_and(
-                    acc, factory->mk_not(factory->mk_and(
-                             fr.at(r, mid), co.at(mid, w))));
-            }
-        }
-        return acc;
-    }
-    case AxiomTag::kCausalityTso:
-        return rel::acyclic_union(
-            factory, {&rfe, &co, &fr, &ppo_const, &fence_const});
-    case AxiomTag::kCausalitySc: {
-        RelExpr full = ppo_const;
-        for (EventId a = 0; a < n; ++a) {
-            for (EventId b = 0; b < n; ++b) {
-                if (a != b && elt::is_memory(p.event(a).kind) &&
-                    elt::is_memory(p.event(b).kind) && p.precedes(a, b)) {
-                    full.set(a, b, rel::kTrueExpr);
-                }
-            }
-        }
-        return rel::acyclic_union(factory,
-                                  {&rfe, &co, &fr, &full, &fence_const});
-    }
-    case AxiomTag::kInvlpg:
-        return rel::acyclic_union(factory,
-                                  {&fr_va, &po_const, &remap_const});
-    case AxiomTag::kTlbCausality:
-        return rel::acyclic_union(factory,
-                                  {&ptw_source, &rf, &co, &fr});
-    case AxiomTag::kExpr:
-        break;  // handled above
-    }
-    TF_PANIC("unknown axiom tag");
+    TF_PANIC("unknown axiom form");
 }
 
 /// Pre-compiles every expression extract_into() and blocking_clause()

@@ -1,141 +1,37 @@
 #include "mtm/model.h"
 
-#include <algorithm>
+#include <optional>
 
+#include "spec/compile.h"
+#include "spec/printer.h"
+#include "spec/registry.h"
 #include "util/logging.h"
 
 namespace transform::mtm {
 
-using elt::CycleScratch;
-using elt::DerivedRelations;
-using elt::EdgeSet;
-using elt::Program;
-
-namespace {
-
-bool
-acyclic(const Program& p, std::initializer_list<const EdgeSet*> parts,
-        CycleScratch* scratch)
+Model::Model(std::shared_ptr<const spec::CompiledModel> compiled)
+    : name_(compiled->spec.name),
+      vm_aware_(compiled->spec.vm),
+      compiled_(std::move(compiled))
 {
-    return !elt::has_cycle(p.num_events(), parts, scratch);
+    TF_ASSERT(static_cast<int>(compiled_->spec.axioms.size()) <= kMaxAxioms);
+    axioms_.reserve(compiled_->spec.axioms.size());
+    for (const spec::AxiomDef& def : compiled_->spec.axioms) {
+        // Alias the compiled model so one control block owns every AST.
+        axioms_.push_back(
+            {def.name,
+             def.description.empty()
+                 ? std::string(spec::axiom_form_name(def.form)) + "(" +
+                       spec::expr_to_source(*def.expr) + ")"
+                 : def.description,
+             std::shared_ptr<const spec::AxiomDef>(compiled_, &def)});
+    }
 }
 
-/// sc_per_loc: acyclic(rf + co + fr + po_loc).
-Axiom
-sc_per_loc_axiom()
+const spec::ModelSpec&
+Model::spec() const
 {
-    return {"sc_per_loc",
-            "coherence: rf + co + fr + po_loc is acyclic per location",
-            AxiomTag::kScPerLoc,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                return acyclic(p, {&d.rf, &d.co, &d.fr, &d.po_loc}, scratch);
-            }};
-}
-
-/// rmw_atomicity: fr.co does not intersect rmw.
-Axiom
-rmw_atomicity_axiom()
-{
-    return {"rmw_atomicity",
-            "no same-address write intervenes inside an RMW (fr.co & rmw = 0)",
-            AxiomTag::kRmwAtomicity,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                (void)p;
-                (void)scratch;
-                for (const auto& [r, w] : d.rmw) {
-                    // Does some w' exist with fr(r, w') and co(w', w)?
-                    for (const auto& [fr_from, fr_to] : d.fr) {
-                        if (fr_from != r) {
-                            continue;
-                        }
-                        for (const auto& [co_from, co_to] : d.co) {
-                            if (co_from == fr_to && co_to == w) {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                return true;
-            }};
-}
-
-/// causality: acyclic(rfe + co + fr + ppo + fence).
-Axiom
-causality_axiom(bool sequential_ppo)
-{
-    return {"causality",
-            sequential_ppo
-                ? "acyclic(rfe + co + fr + po + fence) (sequential consistency)"
-                : "acyclic(rfe + co + fr + ppo + fence) (TSO ppo)",
-            sequential_ppo ? AxiomTag::kCausalitySc : AxiomTag::kCausalityTso,
-            [sequential_ppo](const Program& p, const DerivedRelations& d,
-                             CycleScratch* scratch) {
-                // For the SC variant the full extended program order between
-                // memory events is preserved: ppo U (the pairs TSO drops) ==
-                // po_loc-agnostic extended order. DerivedRelations keeps TSO
-                // ppo; reconstruct full order by adding write->read pairs.
-                if (!sequential_ppo) {
-                    return acyclic(p, {&d.rfe, &d.co, &d.fr, &d.ppo, &d.fence},
-                                   scratch);
-                }
-                CycleScratch local;
-                if (scratch == nullptr) {
-                    scratch = &local;
-                }
-                EdgeSet& full = scratch->tmp_edges;
-                full.assign(d.ppo.begin(), d.ppo.end());
-                for (elt::EventId a = 0; a < p.num_events(); ++a) {
-                    for (elt::EventId b = 0; b < p.num_events(); ++b) {
-                        if (a != b && elt::is_memory(p.event(a).kind) &&
-                            elt::is_memory(p.event(b).kind) &&
-                            p.precedes(a, b) &&
-                            elt::is_write_like(p.event(a).kind) &&
-                            elt::is_read_like(p.event(b).kind)) {
-                            full.emplace_back(a, b);
-                        }
-                    }
-                }
-                return acyclic(p, {&d.rfe, &d.co, &d.fr, &full, &d.fence},
-                               scratch);
-            }};
-}
-
-/// invlpg: acyclic(fr_va + ^po + remap).
-Axiom
-invlpg_axiom()
-{
-    return {"invlpg",
-            "accesses after an INVLPG use the latest mapping: "
-            "acyclic(fr_va + ^po + remap)",
-            AxiomTag::kInvlpg,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                return acyclic(p, {&d.fr_va, &d.po, &d.remap}, scratch);
-            }};
-}
-
-/// tlb_causality: acyclic(ptw_source + com).
-Axiom
-tlb_causality_axiom()
-{
-    return {"tlb_causality",
-            "diagnostic: acyclic(ptw_source + rf + co + fr)",
-            AxiomTag::kTlbCausality,
-            [](const Program& p, const DerivedRelations& d,
-               CycleScratch* scratch) {
-                return acyclic(p, {&d.ptw_source, &d.rf, &d.co, &d.fr},
-                               scratch);
-            }};
-}
-
-}  // namespace
-
-Model::Model(std::string name, bool vm_aware, std::vector<Axiom> axioms)
-    : name_(std::move(name)), vm_aware_(vm_aware), axioms_(std::move(axioms))
-{
-    TF_ASSERT(static_cast<int>(axioms_.size()) <= kMaxAxioms);
+    return compiled_->spec;
 }
 
 const Axiom*
@@ -165,9 +61,13 @@ Model::violated_mask(const elt::Program& program,
                      const elt::DerivedRelations& d,
                      elt::CycleScratch* scratch) const
 {
+    std::optional<elt::CycleScratch> local;
+    if (scratch == nullptr) {
+        scratch = &local.emplace();
+    }
     AxiomMask mask = 0;
     for (std::size_t i = 0; i < axioms_.size(); ++i) {
-        if (!axioms_[i].holds(program, d, scratch)) {
+        if (!spec::axiom_holds(compiled_->plans[i], program, d, scratch)) {
             mask |= AxiomMask{1} << i;
         }
     }
@@ -203,30 +103,25 @@ Model::violated_axioms(const elt::Execution& e) const
     return violated_axioms(e.program, d);
 }
 
-Model
+const Model&
 x86tso()
 {
-    return Model("x86tso", /*vm_aware=*/false,
-                 {sc_per_loc_axiom(), rmw_atomicity_axiom(),
-                  causality_axiom(/*sequential_ppo=*/false)});
+    static const Model& model = *spec::registry_model("x86tso.mtm");
+    return model;
 }
 
-Model
+const Model&
 x86t_elt()
 {
-    return Model("x86t_elt", /*vm_aware=*/true,
-                 {sc_per_loc_axiom(), rmw_atomicity_axiom(),
-                  causality_axiom(/*sequential_ppo=*/false), invlpg_axiom(),
-                  tlb_causality_axiom()});
+    static const Model& model = *spec::registry_model("x86t_elt.mtm");
+    return model;
 }
 
-Model
+const Model&
 sc_t_elt()
 {
-    return Model("sc_t_elt", /*vm_aware=*/true,
-                 {sc_per_loc_axiom(), rmw_atomicity_axiom(),
-                  causality_axiom(/*sequential_ppo=*/true), invlpg_axiom(),
-                  tlb_causality_axiom()});
+    static const Model& model = *spec::registry_model("sc_t_elt.mtm");
+    return model;
 }
 
 std::vector<std::string>

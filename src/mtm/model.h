@@ -4,7 +4,9 @@
 ///
 /// A model's *transistency predicate* is the conjunction of its axioms; an
 /// execution is PERMITTED when every axiom holds and FORBIDDEN otherwise
-/// (section II-A / V-A of the paper). The predefined models are:
+/// (section II-A / V-A of the paper). Every model is a compiled `.mtm`
+/// specification (spec/compile.h); the paper's three are the embedded
+/// registry sources (spec/registry.h), compiled once per process:
 ///  - x86tso():   sc_per_loc, rmw_atomicity, causality — the x86-TSO MCM;
 ///  - x86t_elt(): x86-TSO plus the transistency axioms invlpg and
 ///                tlb_causality — the paper's estimated x86 MTM;
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,26 +29,11 @@
 
 namespace transform::spec {
 struct AxiomDef;
+struct CompiledModel;
 struct ModelSpec;
 }  // namespace transform::spec
 
 namespace transform::mtm {
-
-/// Identifies an axiom's symbolic form for the SAT encoding backend (the
-/// concrete evaluator lives in the `holds` closure; the relational encoder
-/// must rebuild the same condition as a circuit).
-enum class AxiomTag {
-    kScPerLoc,
-    kRmwAtomicity,
-    kCausalityTso,
-    kCausalitySc,
-    kInvlpg,
-    kTlbCausality,
-    /// A user-defined axiom from a `.mtm` specification: the condition is
-    /// the relational expression in Axiom::def, which the encoding backend
-    /// lowers to circuits generically — no bespoke circuit required.
-    kExpr,
-};
 
 /// Bitset of violated axioms, indexed by a model's axiom order: bit i set
 /// means axioms()[i] is violated. 0 == the execution is permitted.
@@ -60,23 +46,16 @@ inline constexpr int kMaxAxioms = 32;
 struct Axiom {
     std::string name;
     std::string description;
-    AxiomTag tag;
-    /// True when the axiom HOLDS on the given derived relations. \p scratch
-    /// may be null; when supplied the evaluator reuses its buffers (cycle
-    /// adjacency, edge-set temporaries) instead of allocating.
-    std::function<bool(const elt::Program&, const elt::DerivedRelations&,
-                       elt::CycleScratch* scratch)>
-        holds;
-    /// For tag == kExpr: the parsed condition (form + relational
-    /// expression) both backends evaluate. Shared, immutable, and also
-    /// captured by `holds`, so copying a Model keeps the two in sync.
-    std::shared_ptr<const spec::AxiomDef> def = {};
+    /// The parsed condition (form + relational expression) both backends
+    /// evaluate. Never null; shares ownership of the model's spec.
+    std::shared_ptr<const spec::AxiomDef> def;
 };
 
 /// A memory (transistency) model: a named conjunction of axioms.
 class Model {
   public:
-    Model(std::string name, bool vm_aware, std::vector<Axiom> axioms);
+    /// Built by spec::compile_model; every copy shares \p compiled.
+    explicit Model(std::shared_ptr<const spec::CompiledModel> compiled);
 
     const std::string& name() const { return name_; }
 
@@ -122,35 +101,28 @@ class Model {
         return violated_axioms(e).empty();
     }
 
-    /// The parsed `.mtm` specification this model was compiled from (null
-    /// for the hardwired builtins and for copies made through the 3-arg
-    /// constructor). Consulted only by the spec printers — never on the
-    /// synthesis hot path.
-    const std::shared_ptr<const spec::ModelSpec>& source_spec() const
-    {
-        return source_spec_;
-    }
-    void set_source_spec(std::shared_ptr<const spec::ModelSpec> spec)
-    {
-        source_spec_ = std::move(spec);
-    }
+    /// The parsed `.mtm` specification this model was compiled from.
+    const spec::ModelSpec& spec() const;
 
   private:
     std::string name_;
-    bool vm_aware_;
+    bool vm_aware_ = false;
     std::vector<Axiom> axioms_;
-    std::shared_ptr<const spec::ModelSpec> source_spec_;
+    std::shared_ptr<const spec::CompiledModel> compiled_;
 };
 
-/// The x86-TSO consistency model (sc_per_loc, rmw_atomicity, causality).
-Model x86tso();
+/// The x86-TSO consistency model (sc_per_loc, rmw_atomicity, causality):
+/// the registry's x86tso.mtm.
+const Model& x86tso();
 
-/// The paper's estimated x86 MTM: x86-TSO plus invlpg and tlb_causality.
-Model x86t_elt();
+/// The paper's estimated x86 MTM, x86-TSO plus invlpg and tlb_causality:
+/// the registry's x86t_elt.mtm.
+const Model& x86t_elt();
 
 /// A sequentially-consistent MTM (full ppo) with the transistency axioms —
-/// the paper's vocabulary applied to a different base MCM.
-Model sc_t_elt();
+/// the paper's vocabulary applied to a different base MCM: the registry's
+/// sc_t_elt.mtm.
+const Model& sc_t_elt();
 
 /// Names of the five x86t_elt axioms in the paper's order.
 std::vector<std::string> x86t_elt_axiom_names();

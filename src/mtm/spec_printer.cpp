@@ -4,7 +4,6 @@
 
 #include "spec/ast.h"
 #include "spec/printer.h"
-#include "util/logging.h"
 
 namespace transform::mtm {
 
@@ -61,104 +60,34 @@ fun ptw_source{ /* walk's invoking access to other users of the entry */ }
 )";
 }
 
-namespace {
-
-std::string
-axiom_body(const Axiom& axiom)
-{
-    switch (axiom.tag) {
-    case AxiomTag::kScPerLoc:
-        return "acyclic[rf + co + fr + po_loc]";
-    case AxiomTag::kRmwAtomicity:
-        return "no (fr.co & rmw)";
-    case AxiomTag::kCausalityTso:
-        return "acyclic[rfe + co + fr + ppo + fence]   -- ppo = po - (Write->Read)";
-    case AxiomTag::kCausalitySc:
-        return "acyclic[rfe + co + fr + po + fence]    -- sequential consistency";
-    case AxiomTag::kInvlpg:
-        return "acyclic[fr_va + ^po + remap]";
-    case AxiomTag::kTlbCausality:
-        return "acyclic[ptw_source + rf + co + fr]";
-    case AxiomTag::kExpr:
-        TF_ASSERT(axiom.def != nullptr);
-        return std::string(spec::axiom_form_name(axiom.def->form)) + "[" +
-               spec::expr_to_source(*axiom.def->expr) + "]";
-    }
-    TF_PANIC("unknown axiom tag");
-}
-
-/// The `.mtm` condition equivalent to a hardwired axiom — used when a
-/// builtin model (no attached ModelSpec) is printed as DSL source.
-std::string
-builtin_mtm_condition(AxiomTag tag)
-{
-    switch (tag) {
-    case AxiomTag::kScPerLoc:
-        return "acyclic(rf | co | fr | po_loc)";
-    case AxiomTag::kRmwAtomicity:
-        return "empty((fr ; co) & rmw)";
-    case AxiomTag::kCausalityTso:
-        return "acyclic(rfe | co | fr | ppo | fence)";
-    case AxiomTag::kCausalitySc:
-        return "acyclic(rfe | co | fr | po_mem | fence)";
-    case AxiomTag::kInvlpg:
-        return "acyclic(fr_va | po | remap)";
-    case AxiomTag::kTlbCausality:
-        return "acyclic(ptw_source | rf | co | fr)";
-    case AxiomTag::kExpr:
-        break;  // handled by the caller through axiom.def
-    }
-    TF_PANIC("axiom tag has no builtin .mtm condition");
-}
-
-}  // namespace
-
 std::string
 model_to_alloy(const Model& model)
 {
     std::ostringstream out;
     out << "module transform/" << model.name() << "\n\n";
     out << vocabulary_to_alloy() << "\n";
+    if (!model.spec().lets.empty()) {
+        out << "// Definitions (let bindings of " << model.name()
+            << ") ---------------------\n";
+        for (const spec::LetDef& let : model.spec().lets) {
+            out << "fun " << let.name << " : Event->Event { "
+                << spec::expr_to_alloy(*let.expr) << " }\n";
+        }
+        out << "\n";
+    }
     out << "// Axioms ("
         << (model.vm_aware() ? "transistency" : "consistency")
         << " predicate of " << model.name() << ") ---------------------\n";
     for (const Axiom& axiom : model.axioms()) {
         out << "// " << axiom.description << "\n";
-        out << "pred " << axiom.name << " { " << axiom_body(axiom)
-            << " }\n\n";
+        out << "pred " << axiom.name << " { "
+            << spec::axiom_to_alloy(*axiom.def) << " }\n\n";
     }
     out << "pred " << model.name() << "_predicate {\n";
     for (const Axiom& axiom : model.axioms()) {
         out << "  " << axiom.name << "\n";
     }
     out << "}\n";
-    return out.str();
-}
-
-std::string
-model_to_mtm(const Model& model)
-{
-    if (model.source_spec() != nullptr) {
-        return spec::model_to_source(*model.source_spec());
-    }
-    std::ostringstream out;
-    out << "model " << model.name() << "\n";
-    out << "vm " << (model.vm_aware() ? "on" : "off") << "\n\n";
-    for (const Axiom& axiom : model.axioms()) {
-        out << "axiom " << axiom.name;
-        if (!axiom.description.empty()) {
-            out << " \"" << axiom.description << "\"";
-        }
-        out << ": ";
-        if (axiom.tag == AxiomTag::kExpr) {
-            TF_ASSERT(axiom.def != nullptr);
-            out << spec::axiom_form_name(axiom.def->form) << "("
-                << spec::expr_to_source(*axiom.def->expr) << ")";
-        } else {
-            out << builtin_mtm_condition(axiom.tag);
-        }
-        out << "\n";
-    }
     return out.str();
 }
 

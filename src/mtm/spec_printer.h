@@ -16,16 +16,9 @@ namespace transform::mtm {
 /// in Alloy-like syntax.
 std::string vocabulary_to_alloy();
 
-/// Renders \p model as an Alloy-like module: the vocabulary followed by one
-/// predicate per axiom and the model's transistency predicate. Axioms from
-/// `.mtm` specifications print their relational expression.
+/// Renders \p model as an Alloy-like module: the vocabulary, one `fun`
+/// per `let` of its specification, one predicate per axiom printing the
+/// axiom's relational expression, and the model's transistency predicate.
 std::string model_to_alloy(const Model& model);
-
-/// Renders \p model as `.mtm` DSL source (the language of spec/parser.h).
-/// A model compiled from a specification prints its own spec (canonical
-/// form, `let` bindings preserved); the hardwired builtins print the
-/// equivalent expression per axiom. The output always re-parses: the
-/// round-trip tests hold parse(model_to_mtm(m)) to a fixed point.
-std::string model_to_mtm(const Model& model);
 
 }  // namespace transform::mtm

@@ -15,7 +15,8 @@
 /// This header is dependency-free (std only): the same AST feeds two
 /// compilers — the concrete interpreter over elt::DerivedRelations
 /// (spec/eval.h) and the symbolic lowering to rel::RelExpr circuits inside
-/// the SAT encoder (mtm/incremental.cpp).
+/// the SAT encoder (mtm/incremental.cpp) — and two printers (spec/printer.h:
+/// canonical `.mtm` source and Alloy).
 #pragma once
 
 #include <memory>
@@ -49,6 +50,9 @@ enum class BaseRel {
     kRemap,      ///< Wpte -> the Invlpgs it invokes
     kPtwSource,  ///< walk's parent -> other users of the walk
 };
+
+/// Number of BaseRel values.
+inline constexpr int kNumBaseRels = static_cast<int>(BaseRel::kPtwSource) + 1;
 
 /// The event classes usable inside identity brackets `[S]`.
 enum class EventSet {

@@ -1,10 +1,7 @@
 #include "spec/compile.h"
 
 #include <memory>
-#include <utility>
 
-#include "spec/eval.h"
-#include "spec/printer.h"
 #include "util/logging.h"
 
 namespace transform::spec {
@@ -13,31 +10,13 @@ mtm::Model
 compile_model(const ModelSpec& spec)
 {
     TF_ASSERT(static_cast<int>(spec.axioms.size()) <= mtm::kMaxAxioms);
-    const auto shared = std::make_shared<const ModelSpec>(spec);
-    std::vector<mtm::Axiom> axioms;
-    axioms.reserve(shared->axioms.size());
-    for (const AxiomDef& def : shared->axioms) {
-        // Alias the shared spec so one control block owns every axiom's AST.
-        auto held =
-            std::shared_ptr<const AxiomDef>(shared, &def);
-        mtm::Axiom axiom;
-        axiom.name = def.name;
-        axiom.description = def.description.empty()
-                                ? std::string(axiom_form_name(def.form)) +
-                                      "(" + expr_to_source(*def.expr) + ")"
-                                : def.description;
-        axiom.tag = mtm::AxiomTag::kExpr;
-        axiom.def = held;
-        axiom.holds = [held](const elt::Program& program,
-                             const elt::DerivedRelations& d,
-                             elt::CycleScratch* scratch) {
-            return axiom_holds(*held, program, d, scratch);
-        };
-        axioms.push_back(std::move(axiom));
+    auto compiled = std::make_shared<CompiledModel>();
+    compiled->spec = spec;
+    compiled->plans.reserve(spec.axioms.size());
+    for (const AxiomDef& def : compiled->spec.axioms) {
+        compiled->plans.push_back(plan_axiom(def));
     }
-    mtm::Model model(spec.name, spec.vm, std::move(axioms));
-    model.set_source_spec(shared);
-    return model;
+    return mtm::Model(std::move(compiled));
 }
 
 }  // namespace transform::spec

@@ -1,23 +1,30 @@
 /// \file
 /// Compiles a parsed `.mtm` specification into an mtm::Model whose axioms
 /// run on BOTH execution-space backends:
-///  - concretely, through spec/eval.h closures tagged AxiomTag::kExpr (the
-///    enumerative backend and the minimality judge call these millions of
-///    times — they are scratch-threaded like the hardwired closures);
-///  - symbolically, because each Axiom carries its AxiomDef and
-///    the SAT encoder lowers that AST to rel::RelExpr circuits
-///    generically (mtm/incremental.cpp), so user-defined models need no
-///    hand-written circuit.
+///  - concretely, through the evaluation plan spec/eval.h builds for each
+///    axiom once, here (the enumerative backend and the minimality judge
+///    evaluate it millions of times);
+///  - symbolically, because each Axiom carries its AxiomDef and the SAT
+///    encoder lowers that AST to rel::RelExpr circuits generically
+///    (mtm/incremental.cpp).
 #pragma once
+
+#include <vector>
 
 #include "mtm/model.h"
 #include "spec/ast.h"
+#include "spec/eval.h"
 
 namespace transform::spec {
 
-/// Builds the Model for \p spec. The ModelSpec is copied into shared
-/// ownership: the returned Model (and every copy of its axioms) keeps the
-/// AST alive. Axiom order follows the file.
+/// A specification and its axioms' evaluation plans: the immutable state
+/// every copy of a Model shares. The plans point into `spec`.
+struct CompiledModel {
+    ModelSpec spec;
+    std::vector<AxiomPlan> plans;  ///< one per spec.axioms entry, in order
+};
+
+/// Builds the Model for \p spec. Axiom order follows the file.
 mtm::Model compile_model(const ModelSpec& spec);
 
 }  // namespace transform::spec

@@ -1,6 +1,9 @@
 #include "spec/eval.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -50,6 +53,64 @@ event_in_set(EventSet set, EventKind kind)
 
 namespace {
 
+using Field = AxiomPlan::Field;
+
+/// The DerivedRelations field storing \p base; null for po_mem, which no
+/// field stores.
+Field
+field_of(BaseRel base)
+{
+    switch (base) {
+    case BaseRel::kPo: return &DerivedRelations::po;
+    case BaseRel::kPoLoc: return &DerivedRelations::po_loc;
+    case BaseRel::kRf: return &DerivedRelations::rf;
+    case BaseRel::kRfe: return &DerivedRelations::rfe;
+    case BaseRel::kCo: return &DerivedRelations::co;
+    case BaseRel::kFr: return &DerivedRelations::fr;
+    case BaseRel::kPpo: return &DerivedRelations::ppo;
+    case BaseRel::kFence: return &DerivedRelations::fence;
+    case BaseRel::kRmw: return &DerivedRelations::rmw;
+    case BaseRel::kGhost: return &DerivedRelations::ghost;
+    case BaseRel::kRfPtw: return &DerivedRelations::rf_ptw;
+    case BaseRel::kRfPa: return &DerivedRelations::rf_pa;
+    case BaseRel::kCoPa: return &DerivedRelations::co_pa;
+    case BaseRel::kFrPa: return &DerivedRelations::fr_pa;
+    case BaseRel::kFrVa: return &DerivedRelations::fr_va;
+    case BaseRel::kRemap: return &DerivedRelations::remap;
+    case BaseRel::kPtwSource: return &DerivedRelations::ptw_source;
+    case BaseRel::kPoMem: return nullptr;
+    }
+    TF_PANIC("unknown base relation");
+}
+
+/// \p base's edges in \p d; null for po_mem.
+const EdgeSet*
+base_field(const DerivedRelations& d, BaseRel base)
+{
+    const Field field = field_of(base);
+    return field == nullptr ? nullptr : &(d.*field);
+}
+
+/// po_mem, synthesized from the program: the extended-order pairs over
+/// memory events, generated sorted and duplicate-free into \p out.
+void
+po_mem_into(const Program& p, EdgeSet* out)
+{
+    out->clear();
+    const int n = p.num_events();
+    for (EventId a = 0; a < n; ++a) {
+        if (!elt::is_memory(p.event(a).kind)) {
+            continue;
+        }
+        for (EventId b = 0; b < n; ++b) {
+            if (a != b && elt::is_memory(p.event(b).kind) &&
+                p.precedes(a, b)) {
+                out->emplace_back(a, b);
+            }
+        }
+    }
+}
+
 /// Pool-slot handles are indices: CycleScratch::spec_pool may reallocate
 /// while children evaluate, so references must be re-fetched through the
 /// evaluator after any acquire.
@@ -79,26 +140,15 @@ struct Evaluator {
         return kNoSlot;
     }
 
-    /// Evaluates and pins every distinct let body reachable from \p e,
-    /// dependencies first (a body may reference earlier lets). Each pinned
-    /// slot stays live until the caller unwinds the arena.
+    /// Evaluates and pins \p bodies in order (collect_let_bodies order, so
+    /// every body finds the lets it references already pinned). Each
+    /// pinned slot stays live until the caller unwinds the arena.
     void
-    pin_let_bodies(const Expr& e)
+    pin(const std::vector<const Expr*>& bodies)
     {
-        if (e.op == ExprOp::kLetRef) {
-            const Expr* body = e.lhs.get();
-            if (pinned_slot(body) == kNoSlot) {
-                pin_let_bodies(*body);
-                const Slot slot = eval(*body);
-                scratch.spec_memo.emplace_back(body, slot);
-            }
-            return;
-        }
-        if (e.lhs != nullptr) {
-            pin_let_bodies(*e.lhs);
-        }
-        if (e.rhs != nullptr) {
-            pin_let_bodies(*e.rhs);
+        for (const Expr* body : bodies) {
+            const Slot slot = eval(*body);
+            scratch.spec_memo.emplace_back(body, slot);
         }
     }
 
@@ -132,49 +182,34 @@ struct Evaluator {
         edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
     }
 
-    /// The base relation's edges, sorted. po_mem is synthesized from the
-    /// program (no DerivedRelations field stores it); everything else is a
-    /// copy of the corresponding derived field.
+    /// The base relation's edges, sorted.
     void
     base_into(BaseRel base, EdgeSet* out)
     {
-        const EdgeSet* source = nullptr;
-        switch (base) {
-        case BaseRel::kPo: source = &d.po; break;
-        case BaseRel::kPoLoc: source = &d.po_loc; break;
-        case BaseRel::kRf: source = &d.rf; break;
-        case BaseRel::kRfe: source = &d.rfe; break;
-        case BaseRel::kCo: source = &d.co; break;
-        case BaseRel::kFr: source = &d.fr; break;
-        case BaseRel::kPpo: source = &d.ppo; break;
-        case BaseRel::kFence: source = &d.fence; break;
-        case BaseRel::kRmw: source = &d.rmw; break;
-        case BaseRel::kGhost: source = &d.ghost; break;
-        case BaseRel::kRfPtw: source = &d.rf_ptw; break;
-        case BaseRel::kRfPa: source = &d.rf_pa; break;
-        case BaseRel::kCoPa: source = &d.co_pa; break;
-        case BaseRel::kFrPa: source = &d.fr_pa; break;
-        case BaseRel::kFrVa: source = &d.fr_va; break;
-        case BaseRel::kRemap: source = &d.remap; break;
-        case BaseRel::kPtwSource: source = &d.ptw_source; break;
-        case BaseRel::kPoMem:
-            for (EventId a = 0; a < n; ++a) {
-                if (!elt::is_memory(p.event(a).kind)) {
-                    continue;
-                }
-                for (EventId b = 0; b < n; ++b) {
-                    if (a != b && elt::is_memory(p.event(b).kind) &&
-                        p.precedes(a, b)) {
-                        out->emplace_back(a, b);
-                    }
-                }
-            }
-            normalize(out);
+        const EdgeSet* source = base_field(d, base);
+        if (source == nullptr) {
+            po_mem_into(p, out);
             return;
         }
-        TF_ASSERT(source != nullptr);
         out->assign(source->begin(), source->end());
         normalize(out);
+    }
+
+    /// True when \p e is a base relation (possibly behind lets) whose
+    /// derived field is empty — an `&` or `;` with such an operand is empty
+    /// without evaluating the other side (rmw, say, is empty in most
+    /// programs).
+    bool
+    empty_base(const Expr* e) const
+    {
+        while (e->op == ExprOp::kLetRef) {
+            e = e->lhs.get();
+        }
+        if (e->op != ExprOp::kBase) {
+            return false;
+        }
+        const EdgeSet* source = base_field(d, e->base);
+        return source != nullptr && source->empty();
     }
 
     /// Evaluates \p e into a freshly acquired slot and returns it. Child
@@ -210,6 +245,9 @@ struct Evaluator {
             return lhs;
         }
         case ExprOp::kIntersect: {
+            if (empty_base(e.lhs.get()) || empty_base(e.rhs.get())) {
+                return acquire();
+            }
             const Slot lhs = eval(*e.lhs);
             const Slot rhs = eval(*e.rhs);
             const Slot out = acquire();
@@ -230,6 +268,9 @@ struct Evaluator {
             return lhs;
         }
         case ExprOp::kJoin: {
+            if (empty_base(e.lhs.get()) || empty_base(e.rhs.get())) {
+                return acquire();
+            }
             const Slot lhs = eval(*e.lhs);
             const Slot rhs = eval(*e.rhs);
             const Slot out = acquire();
@@ -332,61 +373,194 @@ struct Evaluator {
     }
 };
 
-}  // namespace
-
-bool
-axiom_holds(const AxiomDef& axiom, const Program& program,
-            const DerivedRelations& d, CycleScratch* scratch)
+/// Appends the distinct let bodies under \p e to \p out, each after the
+/// bodies it references. Skips bodies already listed, so the walk is
+/// linear in the DAG.
+void
+collect_let_bodies(const Expr& e, std::vector<const Expr*>* out)
 {
-    CycleScratch local;
-    if (scratch == nullptr) {
-        scratch = &local;
+    if (e.op == ExprOp::kLetRef) {
+        const Expr* body = e.lhs.get();
+        if (std::find(out->begin(), out->end(), body) == out->end()) {
+            collect_let_bodies(*body, out);
+            out->push_back(body);
+        }
+        return;
     }
-    const std::size_t mark = scratch->spec_pool_live;
-    const std::size_t memo_mark = scratch->spec_memo.size();
-    Evaluator eval{program, d, *scratch, program.num_events()};
-    eval.pin_let_bodies(*axiom.expr);
-    const Slot result = eval.eval(*axiom.expr);
-    bool holds = true;
-    switch (axiom.form) {
-    case AxiomForm::kAcyclic: {
-        const EdgeSet* parts[] = {&eval.at(result)};
-        holds = !elt::has_cycle(program.num_events(), parts, 1, scratch);
-        break;
+    if (e.lhs != nullptr) {
+        collect_let_bodies(*e.lhs, out);
     }
-    case AxiomForm::kIrreflexive:
-        for (const Edge& edge : eval.at(result)) {
-            if (edge.first == edge.second) {
-                holds = false;
-                break;
+    if (e.rhs != nullptr) {
+        collect_let_bodies(*e.rhs, out);
+    }
+}
+
+/// Appends the field of every base relation of a union of base relations
+/// (through lets and `0`) to \p plan's union fields, each once; false when
+/// \p e has any other shape.
+bool
+flatten_union(const Expr& e, AxiomPlan* plan)
+{
+    switch (e.op) {
+    case ExprOp::kBase: {
+        const Field field = field_of(e.base);
+        const auto end = plan->union_fields.begin() + plan->union_count;
+        if (std::find(plan->union_fields.begin(), end, field) == end) {
+            plan->union_fields[plan->union_count++] = field;
+        }
+        return true;
+    }
+    case ExprOp::kEmpty:
+        return true;
+    case ExprOp::kUnion:
+        return flatten_union(*e.lhs, plan) && flatten_union(*e.rhs, plan);
+    case ExprOp::kLetRef:
+        return flatten_union(*e.lhs, plan);
+    default:
+        return false;
+    }
+}
+
+/// The base relations any one of which, when empty, makes \p e empty, as
+/// a bitset over BaseRel. Let bodies are memoized in \p memo, so the walk
+/// is linear in the DAG.
+std::uint32_t
+empty_guards(const Expr& e,
+             std::vector<std::pair<const Expr*, std::uint32_t>>* memo)
+{
+    switch (e.op) {
+    case ExprOp::kBase:
+        return e.base == BaseRel::kPoMem
+                   ? 0
+                   : std::uint32_t{1} << static_cast<int>(e.base);
+    case ExprOp::kIntersect:
+    case ExprOp::kJoin:
+        return empty_guards(*e.lhs, memo) | empty_guards(*e.rhs, memo);
+    case ExprOp::kUnion:
+        return empty_guards(*e.lhs, memo) & empty_guards(*e.rhs, memo);
+    case ExprOp::kMinus:
+    case ExprOp::kTranspose:
+    case ExprOp::kClosure:
+        return empty_guards(*e.lhs, memo);
+    case ExprOp::kLetRef: {
+        for (const auto& [body, guards] : *memo) {
+            if (body == e.lhs.get()) {
+                return guards;
             }
         }
-        break;
-    case AxiomForm::kEmpty:
-        holds = eval.at(result).empty();
-        break;
+        const std::uint32_t guards = empty_guards(*e.lhs, memo);
+        memo->emplace_back(e.lhs.get(), guards);
+        return guards;
     }
-    scratch->spec_memo.resize(memo_mark);
-    scratch->spec_pool_live = mark;
-    return holds;
+    case ExprOp::kEmpty:
+    case ExprOp::kIdSet:
+    case ExprOp::kReflexiveClosure:
+        return 0;
+    }
+    TF_PANIC("unknown expression op");
+}
+
+/// Restores the arena marks taken on entry, whatever the exit path.
+struct ArenaMark {
+    CycleScratch& scratch;
+    const std::size_t live = scratch.spec_pool_live;
+    const std::size_t memo = scratch.spec_memo.size();
+
+    ~ArenaMark()
+    {
+        scratch.spec_memo.resize(memo);
+        scratch.spec_pool_live = live;
+    }
+};
+
+}  // namespace
+
+AxiomPlan
+plan_axiom(const AxiomDef& def)
+{
+    AxiomPlan plan;
+    plan.def = &def;
+    plan.flat_union = def.form == AxiomForm::kAcyclic &&
+                      flatten_union(*def.expr, &plan);
+    if (!plan.flat_union) {
+        plan.union_count = 0;
+        std::vector<std::pair<const Expr*, std::uint32_t>> memo;
+        for (std::uint32_t guards = empty_guards(*def.expr, &memo);
+             guards != 0; guards &= guards - 1) {
+            plan.guard_fields[plan.guard_count++] =
+                field_of(static_cast<BaseRel>(std::countr_zero(guards)));
+        }
+        collect_let_bodies(*def.expr, &plan.let_bodies);
+    }
+    return plan;
+}
+
+bool
+axiom_holds(const AxiomPlan& plan, const Program& program,
+            const DerivedRelations& d, CycleScratch* scratch)
+{
+    const int n = program.num_events();
+    if (plan.flat_union) {
+        // The fields go to has_cycle as they are; only po_mem, which no
+        // field stores, is materialized.
+        const EdgeSet* parts[kNumBaseRels];
+        EdgeSet local_po_mem;
+        for (int i = 0; i < plan.union_count; ++i) {
+            const Field field = plan.union_fields[i];
+            if (field != nullptr) {
+                parts[i] = &(d.*field);
+                continue;
+            }
+            EdgeSet* po_mem =
+                scratch != nullptr ? &scratch->po_mem : &local_po_mem;
+            po_mem_into(program, po_mem);
+            parts[i] = po_mem;
+        }
+        return !elt::has_cycle(n, parts, plan.union_count, scratch);
+    }
+    // The empty relation satisfies every form.
+    for (int i = 0; i < plan.guard_count; ++i) {
+        if ((d.*plan.guard_fields[i]).empty()) {
+            return true;
+        }
+    }
+    std::optional<CycleScratch> local;
+    if (scratch == nullptr) {
+        scratch = &local.emplace();
+    }
+    const ArenaMark mark{*scratch};
+    Evaluator eval{program, d, *scratch, n};
+    eval.pin(plan.let_bodies);
+    const EdgeSet& result = eval.at(eval.eval(*plan.def->expr));
+    switch (plan.def->form) {
+    case AxiomForm::kAcyclic: {
+        const EdgeSet* parts[] = {&result};
+        return !elt::has_cycle(n, parts, 1, scratch);
+    }
+    case AxiomForm::kIrreflexive:
+        return std::none_of(result.begin(), result.end(), [](const Edge& e) {
+            return e.first == e.second;
+        });
+    case AxiomForm::kEmpty:
+        return result.empty();
+    }
+    TF_PANIC("unknown axiom form");
 }
 
 void
 eval_expr(const Expr& expr, const Program& program,
           const DerivedRelations& d, CycleScratch* scratch, EdgeSet* out)
 {
-    CycleScratch local;
+    std::optional<CycleScratch> local;
     if (scratch == nullptr) {
-        scratch = &local;
+        scratch = &local.emplace();
     }
-    const std::size_t mark = scratch->spec_pool_live;
-    const std::size_t memo_mark = scratch->spec_memo.size();
+    const ArenaMark mark{*scratch};
     Evaluator eval{program, d, *scratch, program.num_events()};
-    eval.pin_let_bodies(expr);
-    const Slot result = eval.eval(expr);
-    *out = eval.at(result);
-    scratch->spec_memo.resize(memo_mark);
-    scratch->spec_pool_live = mark;
+    std::vector<const Expr*> bodies;
+    collect_let_bodies(expr, &bodies);
+    eval.pin(bodies);
+    *out = eval.at(eval.eval(expr));
 }
 
 }  // namespace transform::spec

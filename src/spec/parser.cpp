@@ -13,6 +13,15 @@ namespace {
 /// mtm/ in the layering; the compiler re-checks with the real constant).
 constexpr int kMaxAxiomsInSpec = 32;
 
+/// Size caps on expressions. Every compiler and printer walks the AST
+/// recursively (the parser itself recurses once per parenthesis), so
+/// unbounded input would overflow the stack: parentheses may nest at most
+/// kMaxNesting deep and one model holds at most kMaxNodes expression nodes
+/// (which bounds the depth of any AST path). Real models use a few dozen;
+/// twice kMaxNodes still fits a worker thread's stack in an ASan build.
+constexpr int kMaxNesting = 1000;
+constexpr int kMaxNodes = 2000;
+
 struct BaseRelEntry {
     const char* name;
     BaseRel rel;
@@ -482,11 +491,14 @@ class Parser {
         while (inner != nullptr && (cur_.kind == Tok::kCaretPlus ||
                                     cur_.kind == Tok::kCaretStar ||
                                     cur_.kind == Tok::kCaretInv)) {
-            auto node = std::make_shared<Expr>();
-            node->op = cur_.kind == Tok::kCaretPlus ? ExprOp::kClosure
-                       : cur_.kind == Tok::kCaretStar
-                           ? ExprOp::kReflexiveClosure
-                           : ExprOp::kTranspose;
+            auto node = new_node(cur_.kind == Tok::kCaretPlus
+                                     ? ExprOp::kClosure
+                                 : cur_.kind == Tok::kCaretStar
+                                     ? ExprOp::kReflexiveClosure
+                                     : ExprOp::kTranspose);
+            if (node == nullptr) {
+                return nullptr;
+            }
             node->lhs = std::move(inner);
             inner = std::move(node);
             if (!advance()) {
@@ -501,10 +513,17 @@ class Parser {
     {
         switch (cur_.kind) {
         case Tok::kLParen: {
+            if (nesting_ == kMaxNesting) {
+                fail_at(cur_, "parentheses nest more than " +
+                                  std::to_string(kMaxNesting) + " deep");
+                return nullptr;
+            }
             if (!advance()) {
                 return nullptr;
             }
+            ++nesting_;
             ExprPtr inner = parse_expr();
+            --nesting_;
             if (inner == nullptr ||
                 !expect(Tok::kRParen, "')' closing the group")) {
                 return nullptr;
@@ -527,8 +546,10 @@ class Parser {
                                   "catalogue)");
                 return nullptr;
             }
-            auto node = std::make_shared<Expr>();
-            node->op = ExprOp::kIdSet;
+            auto node = new_node(ExprOp::kIdSet);
+            if (node == nullptr) {
+                return nullptr;
+            }
             node->set = *set;
             if (!advance() ||
                 !expect(Tok::kRBracket, "']' closing the event class")) {
@@ -537,17 +558,18 @@ class Parser {
             return node;
         }
         case Tok::kZero: {
-            auto node = std::make_shared<Expr>();
-            node->op = ExprOp::kEmpty;
-            if (!advance()) {
+            auto node = new_node(ExprOp::kEmpty);
+            if (node == nullptr || !advance()) {
                 return nullptr;
             }
             return node;
         }
         case Tok::kIdent: {
             if (const BaseRel* base = lookup_base(cur_.text)) {
-                auto node = std::make_shared<Expr>();
-                node->op = ExprOp::kBase;
+                auto node = new_node(ExprOp::kBase);
+                if (node == nullptr) {
+                    return nullptr;
+                }
                 node->base = *base;
                 if (!advance()) {
                     return nullptr;
@@ -556,8 +578,10 @@ class Parser {
             }
             const auto let = lets_.find(cur_.text);
             if (let != lets_.end()) {
-                auto node = std::make_shared<Expr>();
-                node->op = ExprOp::kLetRef;
+                auto node = new_node(ExprOp::kLetRef);
+                if (node == nullptr) {
+                    return nullptr;
+                }
                 node->lhs = let->second;
                 node->let_name = cur_.text;
                 if (!advance()) {
@@ -576,11 +600,30 @@ class Parser {
         }
     }
 
-    static ExprPtr
-    binary(ExprOp op, ExprPtr lhs, ExprPtr rhs)
+    /// A fresh node, or null (with a positioned diagnostic) once the model
+    /// exceeds kMaxNodes.
+    std::shared_ptr<Expr>
+    new_node(ExprOp op)
     {
+        if (nodes_ == kMaxNodes) {
+            fail_at(cur_, "expression too large: a model holds at most " +
+                              std::to_string(kMaxNodes) +
+                              " relation terms and operators");
+            return nullptr;
+        }
+        ++nodes_;
         auto node = std::make_shared<Expr>();
         node->op = op;
+        return node;
+    }
+
+    ExprPtr
+    binary(ExprOp op, ExprPtr lhs, ExprPtr rhs)
+    {
+        auto node = new_node(op);
+        if (node == nullptr) {
+            return nullptr;
+        }
         node->lhs = std::move(lhs);
         node->rhs = std::move(rhs);
         return node;
@@ -613,6 +656,8 @@ class Parser {
     Token cur_;
     ModelSpec spec_;
     std::map<std::string, ExprPtr> lets_;
+    int nesting_ = 0;  ///< open parentheses around the current token
+    int nodes_ = 0;    ///< expression nodes created so far
 };
 
 }  // namespace

@@ -38,8 +38,9 @@ struct Diagnostic {
 
 /// Parses one model file. On failure returns nullopt and fills \p diag.
 /// Validation beyond the grammar happens here too: unknown relation/set
-/// names, duplicate let/axiom names, models with no axioms, and axiom
-/// counts beyond mtm::kMaxAxioms are all positioned diagnostics.
+/// names, duplicate let/axiom names, models with no axioms, axiom counts
+/// beyond mtm::kMaxAxioms, parentheses nested over 1,000 deep and models
+/// over 2,000 expression nodes are all positioned diagnostics.
 std::optional<ModelSpec> parse_model(std::string_view source,
                                      Diagnostic* diag);
 

@@ -2,10 +2,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "spec/compile.h"
 #include "spec/parser.h"
+#include "util/logging.h"
 
 namespace transform::spec {
 
@@ -13,15 +16,16 @@ namespace {
 
 /// The embedded zoo. Each source is byte-identical to the checked-in file
 /// examples/models/<name> (a golden test enforces it); the `+ 1` skips the
-/// newline that opens each raw literal for readability.
-const std::vector<RegistryEntry> kRegistry = {
+/// newline that opens each raw literal for readability. Constant-
+/// initialized, so the models are resolvable during static initialization.
+constexpr RegistryEntry kRegistry[] = {
     {"x86tso.mtm",
-     "x86-TSO MCM (DSL twin of the builtin x86tso)",
+     "x86-TSO MCM (sc_per_loc, rmw_atomicity, causality)",
      R"MTM(
 // x86-TSO, the baseline memory consistency model (paper section II-A):
 // per-location coherence, RMW atomicity, and causality over the TSO
-// preserved program order. DSL twin of the hardwired mtm::x86tso() —
-// the differential tests hold the two to identical synthesized suites.
+// preserved program order. mtm::x86tso() is this file, compiled; the
+// golden tests pin its synthesized suites.
 model x86tso
 vm off
 
@@ -35,13 +39,13 @@ axiom causality "acyclic(rfe + co + fr + ppo + fence) (TSO ppo)":
   acyclic(rfe | co | fr | ppo | fence)
 )MTM" + 1},
     {"x86t_elt.mtm",
-     "the paper's estimated x86 MTM (DSL twin of the builtin x86t_elt)",
+     "the paper's estimated x86 MTM (the default)",
      R"MTM(
 // x86t_elt — the paper's estimated x86 memory transistency model
 // (section V): x86-TSO plus the transistency axioms invlpg and
-// tlb_causality over the Table-I VM relations. DSL twin of the hardwired
-// mtm::x86t_elt() — the differential tests hold the two to identical
-// synthesized suites on both backends.
+// tlb_causality over the Table-I VM relations. The default --model:
+// mtm::x86t_elt() is this file, compiled; the golden tests pin its
+// synthesized suites.
 model x86t_elt
 vm on
 
@@ -59,13 +63,13 @@ axiom tlb_causality "diagnostic: acyclic(ptw_source + rf + co + fr)":
   acyclic(ptw_source | com)
 )MTM" + 1},
     {"sc_t_elt.mtm",
-     "sequentially-consistent MTM (DSL twin of the builtin sc_t_elt)",
+     "sequentially-consistent MTM",
      R"MTM(
 // sc_t_elt — a sequentially-consistent MTM: the paper's transistency
 // vocabulary applied to an SC base model (the "define your own MTM"
 // example). The causality axiom preserves the full extended program order
-// over memory events (po_mem), ghosts included. DSL twin of the hardwired
-// mtm::sc_t_elt().
+// over memory events (po_mem), ghosts included. mtm::sc_t_elt() is this
+// file, compiled.
 model sc_t_elt
 vm on
 
@@ -124,7 +128,7 @@ axiom causality "acyclic(rfe + co + fr + ppo_pso + fence) (W->R and W->W relaxed
 // pso_t_elt — transistency over a PSO-style base: the x86t_elt VM axioms
 // (invlpg, tlb_causality) kept intact while the consistency causality
 // relaxes both W->R and W->W ordering. A new synthesis workload no
-// hardwired model covers: ELTs that survive the weaker store ordering.
+// paper model covers: ELTs that survive the weaker store ordering.
 model pso_t_elt
 vm on
 
@@ -213,24 +217,6 @@ axiom tlb_causality "diagnostic: acyclic(ptw_source + rf + co + fr)":
 )MTM" + 1},
 };
 
-/// The hardwired C++ builtins stay the first resolution tier: `--model
-/// x86t_elt` must keep meaning the original closures (they are the oracle
-/// the DSL twins are differentially tested against).
-std::optional<mtm::Model>
-builtin_model(const std::string& name)
-{
-    if (name == "x86tso") {
-        return mtm::x86tso();
-    }
-    if (name == "x86t_elt") {
-        return mtm::x86t_elt();
-    }
-    if (name == "sc_t_elt") {
-        return mtm::sc_t_elt();
-    }
-    return std::nullopt;
-}
-
 std::optional<ResolvedModel>
 compile_source(const std::string& source, const std::string& origin,
                std::string* error)
@@ -243,32 +229,66 @@ compile_source(const std::string& source, const std::string& origin,
         }
         return std::nullopt;
     }
-    ResolvedModel resolved{compile_model(*spec), /*from_spec=*/true, origin};
-    return resolved;
+    return ResolvedModel{compile_model(*spec), origin};
+}
+
+/// Every registry entry compiled, in registry order: once per process, on
+/// first use.
+const std::vector<mtm::Model>&
+compiled_registry()
+{
+    static const std::vector<mtm::Model> models = [] {
+        std::vector<mtm::Model> out;
+        for (const RegistryEntry& entry : kRegistry) {
+            std::string error;
+            std::optional<ResolvedModel> resolved = compile_source(
+                entry.source, std::string("registry:") + entry.name, &error);
+            if (!resolved.has_value()) {
+                TF_PANIC("embedded model does not compile: " << error);
+            }
+            out.push_back(std::move(resolved->model));
+        }
+        return out;
+    }();
+    return models;
+}
+
+/// Index of the entry \p name names (with or without the suffix), or -1.
+int
+registry_index(const std::string& name)
+{
+    for (std::size_t i = 0; i < std::size(kRegistry); ++i) {
+        const std::string_view entry = kRegistry[i].name;
+        if (name == entry || (entry.ends_with(".mtm") &&
+                              name == entry.substr(0, entry.size() - 4))) {
+            return static_cast<int>(i);
+        }
+    }
+    return -1;
 }
 
 }  // namespace
 
-const std::vector<RegistryEntry>&
+std::span<const RegistryEntry>
 registry_entries()
 {
     return kRegistry;
 }
 
+const mtm::Model*
+registry_model(const std::string& name)
+{
+    const int index = registry_index(name);
+    return index < 0 ? nullptr : &compiled_registry()[index];
+}
+
 std::optional<ResolvedModel>
 resolve_model(const std::string& name_or_path, std::string* error)
 {
-    if (std::optional<mtm::Model> builtin = builtin_model(name_or_path)) {
-        return ResolvedModel{std::move(*builtin), /*from_spec=*/false,
-                             "builtin"};
-    }
-    for (const RegistryEntry& entry : kRegistry) {
-        if (name_or_path == entry.name ||
-            name_or_path + ".mtm" == entry.name) {
-            return compile_source(entry.source,
-                                  std::string("registry:") + entry.name,
-                                  error);
-        }
+    const int index = registry_index(name_or_path);
+    if (index >= 0) {
+        return ResolvedModel{compiled_registry()[index],
+                             std::string("registry:") + kRegistry[index].name};
     }
     std::error_code ec;
     if (std::filesystem::exists(name_or_path, ec)) {
@@ -286,8 +306,7 @@ resolve_model(const std::string& name_or_path, std::string* error)
     if (error != nullptr) {
         std::ostringstream out;
         out << "unknown model '" << name_or_path
-            << "' (not a builtin, a registry entry, or a readable .mtm "
-               "file)\n";
+            << "' (not a registry entry or a readable .mtm file)\n";
         out << list_models_text();
         *error = out.str();
     }
@@ -298,13 +317,8 @@ std::string
 list_models_text()
 {
     std::ostringstream out;
-    out << "builtin models (hardwired C++):\n";
-    out << "  x86tso     x86-TSO MCM (sc_per_loc, rmw_atomicity, "
-           "causality)\n";
-    out << "  x86t_elt   the paper's estimated x86 MTM (default)\n";
-    out << "  sc_t_elt   sequentially-consistent MTM\n";
-    out << "registry models (.mtm specifications; addressable with or "
-           "without the suffix):\n";
+    out << "registry models (embedded .mtm specifications; addressable "
+           "with or without the suffix):\n";
     for (const RegistryEntry& entry : kRegistry) {
         out << "  " << entry.name << "\n      " << entry.summary << "\n";
     }

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "elt/serialize.h"
+#include "spec/printer.h"
 
 namespace transform::synth {
 namespace {
@@ -360,6 +361,17 @@ checkpoint_task_id(const std::string& axiom, const SkeletonShard& shard,
     h = fnv1a_u64(ticket_stride, h);
     h = fnv1a_u64(skip, h);
     return h;
+}
+
+std::string
+model_fingerprint(const mtm::Model& model)
+{
+    const std::string source = spec::model_to_source(model.spec());
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(source.data(), source.size())));
+    return "model=" + model.name() + " spec=" + hash;
 }
 
 }  // namespace transform::synth

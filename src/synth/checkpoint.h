@@ -101,4 +101,10 @@ std::uint64_t checkpoint_task_id(const std::string& axiom,
                                  std::uint64_t ticket_stride,
                                  std::uint64_t skip);
 
+/// The journal-fingerprint term identifying \p model: its name and a hash
+/// of its normalised `.mtm` source (spec::model_to_source), so a journal
+/// written under one set of axioms is refused after any axiom edit, while
+/// comment and layout edits still resume.
+std::string model_fingerprint(const mtm::Model& model);
+
 }  // namespace transform::synth

@@ -308,7 +308,7 @@ struct ShardTask {
 struct SuiteRun {
     SuiteRun(const mtm::Model& source, std::string axiom_name,
              const SynthesisOptions& opts)
-        : model(source.name(), source.vm_aware(), source.axioms()),
+        : model(source),
           axiom(std::move(axiom_name)), options(opts),
           deadline(opts.time_budget_seconds)
     {
@@ -342,9 +342,9 @@ struct SuiteRun {
     }
 
     /// One private copy per suite; every shard job of the suite shares it
-    /// by const reference — the axiom closures are stateless, so concurrent
-    /// evaluation through one Model is safe and the per-job deep copies
-    /// (std::function closures included) PR 3 paid are gone.
+    /// by const reference — a compiled Model is immutable (evaluation state
+    /// lives in each worker's scratch), so concurrent evaluation through
+    /// one Model is safe.
     const mtm::Model model;
     const std::string axiom;
     int axiom_index = 0;  ///< bit position of axiom in model's masks

@@ -24,6 +24,9 @@
 #include "mtm/model.h"
 #include "sat/solver.h"
 #include "sched/scheduler.h"
+#include "spec/compile.h"
+#include "spec/parser.h"
+#include "spec/registry.h"
 #include "synth/checkpoint.h"
 #include "synth/engine.h"
 #include "util/cancel.h"
@@ -482,6 +485,58 @@ TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
         synth::CheckpointJournal::resume(path, "configuration B", &error);
     EXPECT_EQ(resumed, nullptr);
     EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesAJournalAfterAnAxiomEdit)
+{
+    // The journal names the model by its normalised source, so editing an
+    // axiom between --checkpoint and --resume refuses the journal instead
+    // of merging shards judged under two models; comments do not count.
+    const auto compile = [](const std::string& source) {
+        spec::Diagnostic diag;
+        const auto parsed = spec::parse_model(source, &diag);
+        EXPECT_TRUE(parsed.has_value()) << diag.to_string("<fault_test>");
+        return spec::compile_model(*parsed);
+    };
+    std::string source;
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        if (std::string(entry.name) == "x86t_elt.mtm") {
+            source = entry.source;
+        }
+    }
+    std::string edited = source;
+    const std::string axiom = "acyclic(fr_va | po | remap)";
+    ASSERT_NE(edited.find(axiom), std::string::npos);
+    edited.replace(edited.find(axiom), axiom.size(),
+                   "acyclic(fr_va | fence | remap)");
+    const mtm::Model model = compile(source);
+    const std::string fingerprint = synth::model_fingerprint(model) +
+                                    " bound=4";
+    const std::string path = temp_path("axiom_edit.journal");
+    std::string error;
+    auto journal =
+        synth::CheckpointJournal::create(path, fingerprint, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    synth::SynthesisOptions opt = small_options(4, 4);
+    opt.checkpoint = journal.get();
+    const synth::SuiteResult first =
+        synth::synthesize_suite(model, "invlpg", opt);
+    EXPECT_GT(first.scheduler.checkpoint_shards_saved, 0u);
+    journal.reset();
+
+    const mtm::Model edited_model = compile(edited);
+    EXPECT_EQ(edited_model.name(), model.name());
+    auto refused = synth::CheckpointJournal::resume(
+        path, synth::model_fingerprint(edited_model) + " bound=4", &error);
+    EXPECT_EQ(refused, nullptr);
+    EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+
+    const mtm::Model commented = compile("// a new comment\n" + source);
+    auto resumed = synth::CheckpointJournal::resume(
+        path, synth::model_fingerprint(commented) + " bound=4", &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    EXPECT_GT(resumed->loaded(), 0u);
     std::remove(path.c_str());
 }
 

@@ -6,6 +6,7 @@
 
 #include "elt/fixtures.h"
 #include "mtm/model.h"
+#include "spec/registry.h"
 
 namespace transform::mtm {
 namespace {
@@ -44,9 +45,10 @@ TEST(Model, SbBothZeroPermittedUnderTsoOnly)
     const Execution e = elt::fixtures::sb_both_reads_zero_mcm();
     EXPECT_TRUE(x86tso().permits(e));
 
-    // An SC MCM: reuse sc_t_elt's axioms but in MCM (non-VM) mode by
-    // constructing the SC causality check directly: sb violates it.
-    const Model sc("sc_mcm", /*vm_aware=*/false, sc_t_elt().axioms());
+    // The registry's SC MCM (sc_t_elt's causality without VM modelling):
+    // sb violates it.
+    const Model& sc = *spec::registry_model("sc");
+    EXPECT_FALSE(sc.vm_aware());
     EXPECT_FALSE(sc.permits(e));
     EXPECT_TRUE(violates(sc, e, "causality"));
 }

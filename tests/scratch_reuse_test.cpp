@@ -20,6 +20,7 @@
 #include "elt/fixtures.h"
 #include "mtm/encoding.h"
 #include "mtm/model.h"
+#include "spec/compile.h"
 #include "synth/canonical.h"
 #include "synth/exec_enum.h"
 #include "synth/minimality.h"
@@ -225,8 +226,10 @@ TEST(StreamingEnumerate, NonVmModelWithVmAxiomsQueriesEmptyRelations)
     // VM axioms, whose relations are empty on MCM programs. The need-gated
     // circuit builder must still initialize them (regression: it used to
     // skip them entirely and trip the relation-size assert).
-    const mtm::Model hybrid("mcm_with_vm_axioms", /*vm_aware=*/false,
-                            mtm::x86t_elt().axioms());
+    spec::ModelSpec hybrid_spec = mtm::x86t_elt().spec();
+    hybrid_spec.name = "mcm_with_vm_axioms";
+    hybrid_spec.vm = false;
+    const mtm::Model hybrid = spec::compile_model(hybrid_spec);
     const elt::Program program = elt::fixtures::fig2a_sb_mcm().program;
     mtm::ProgramEncoding encoding(program, &hybrid);
     EXPECT_FALSE(encoding.exists_violating("invlpg"));
@@ -333,8 +336,9 @@ TEST(ViolatedMask, MatchesStringShimOnFixtures)
         // Mask bit positions follow axiom order.
         for (std::size_t i = 0; i < model.axioms().size(); ++i) {
             const bool bit = (mask & (mtm::AxiomMask{1} << i)) != 0;
-            const bool holds = model.axioms()[i].holds(e.program, derived,
-                                                       &scratch.cycle);
+            const bool holds = spec::axiom_holds(
+                spec::plan_axiom(*model.axioms()[i].def), e.program, derived,
+                &scratch.cycle);
             EXPECT_EQ(bit, !holds) << model.axioms()[i].name;
         }
     }

@@ -162,6 +162,37 @@ TEST(SpecParse, ErrorCatalogue)
 // Printing: canonical output re-parses to the same tree (fixed point).
 // ---------------------------------------------------------------------------
 
+TEST(SpecParse, DeepAndHugeExpressionsAreRejectedNotCrashed)
+{
+    // 50,000 nested parentheses and a union of 100,000 terms used to
+    // overflow the stack; each cap now answers with a positioned error.
+    const std::string deep = "model m\naxiom a: acyclic(" +
+                             std::string(50000, '(') + "po" +
+                             std::string(50000, ')') + ")\n";
+    Diagnostic diag = parse_fail(deep);
+    EXPECT_EQ(diag.line, 2);
+    EXPECT_EQ(diag.col, 18 + 1000);  // the 1,001st '('
+    EXPECT_NE(diag.message.find("nest more than 1000"), std::string::npos)
+        << diag.message;
+
+    std::string wide = "model m\naxiom a: acyclic(po";
+    for (int i = 1; i < 100000; ++i) {
+        wide += " | po";
+    }
+    diag = parse_fail(wide + ")\n");
+    EXPECT_EQ(diag.line, 2);
+    EXPECT_NE(diag.message.find("at most 2000"), std::string::npos)
+        << diag.message;
+
+    // Just under both caps parses.
+    std::string fits = "model m\naxiom a: acyclic(" +
+                       std::string(999, '(') + "po";
+    for (int i = 1; i < 1000; ++i) {
+        fits += " | po";
+    }
+    parse_ok(fits + std::string(999, ')') + ")\n");
+}
+
 TEST(SpecPrint, MinimalParensReparseIdentically)
 {
     // The canonical printer drops parentheses precedence already implies
@@ -238,19 +269,19 @@ TEST(SpecRegistry, EmbeddedSourcesMatchZooFiles)
 TEST(SpecRegistry, ResolveTiers)
 {
     std::string error;
-    // Builtins stay hardwired C++.
-    const auto builtin = resolve_model("x86t_elt", &error);
-    ASSERT_TRUE(builtin.has_value()) << error;
-    EXPECT_FALSE(builtin->from_spec);
-    EXPECT_EQ(builtin->model.axioms()[0].tag, mtm::AxiomTag::kScPerLoc);
+    // The paper's models are registry entries like any other.
+    const auto paper = resolve_model("x86t_elt", &error);
+    ASSERT_TRUE(paper.has_value()) << error;
+    EXPECT_EQ(paper->origin, "registry:x86t_elt.mtm");
+    EXPECT_EQ(paper->model.axioms()[0].name, "sc_per_loc");
     // Registry names resolve with or without the suffix.
     for (const char* name : {"sc", "sc.mtm"}) {
         const auto zoo = resolve_model(name, &error);
         ASSERT_TRUE(zoo.has_value()) << error;
-        EXPECT_TRUE(zoo->from_spec);
+        EXPECT_EQ(zoo->origin, "registry:sc.mtm");
         EXPECT_EQ(zoo->model.name(), "sc");
-        EXPECT_EQ(zoo->model.axioms()[0].tag, mtm::AxiomTag::kExpr);
     }
+    EXPECT_EQ(registry_model("nope"), nullptr);
     // Unknown names fail with the catalogue in the message.
     EXPECT_FALSE(resolve_model("nope", &error).has_value());
     EXPECT_NE(error.find("unknown model"), std::string::npos);

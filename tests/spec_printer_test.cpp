@@ -28,13 +28,18 @@ TEST(SpecPrinter, X86tEltModuleHasEveryAxiom)
         EXPECT_NE(module.find("pred " + axiom), std::string::npos);
     }
     EXPECT_NE(module.find("x86t_elt_predicate"), std::string::npos);
-    // The formal bodies.
-    EXPECT_NE(module.find("acyclic[rf + co + fr + po_loc]"),
+    // The formal bodies: each axiom's expression, printed in Alloy, over
+    // the model's let bindings.
+    EXPECT_NE(module.find("fun com : Event->Event { rf + co + fr }"),
               std::string::npos);
-    EXPECT_NE(module.find("acyclic[fr_va + ^po + remap]"), std::string::npos);
-    EXPECT_NE(module.find("acyclic[ptw_source + rf + co + fr]"),
+    EXPECT_NE(module.find("pred sc_per_loc { acyclic[com + po_loc] }"),
               std::string::npos);
-    EXPECT_NE(module.find("no (fr.co & rmw)"), std::string::npos);
+    EXPECT_NE(module.find("pred invlpg { acyclic[fr_va + po + remap] }"),
+              std::string::npos);
+    EXPECT_NE(module.find("pred tlb_causality { acyclic[ptw_source + com] }"),
+              std::string::npos);
+    EXPECT_NE(module.find("pred rmw_atomicity { no (fr.co & rmw) }"),
+              std::string::npos);
 }
 
 TEST(SpecPrinter, McmModuleLacksVmAxioms)
@@ -49,6 +54,8 @@ TEST(SpecPrinter, ScVariantUsesFullProgramOrder)
 {
     const std::string module = model_to_alloy(sc_t_elt());
     EXPECT_NE(module.find("sequential consistency"), std::string::npos);
+    EXPECT_NE(module.find("acyclic[rfe + co + fr + po_mem + fence]"),
+              std::string::npos);
 }
 
 }  // namespace

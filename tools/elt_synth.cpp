@@ -12,8 +12,8 @@
 ///   elt_synth --list-axioms
 ///
 /// Flags:
-///   --model NAME|PATH x86t_elt (default) | any builtin or registry model
-///                     name | a path to a .mtm specification file (see
+///   --model NAME|PATH x86t_elt (default) | any registry model name | a
+///                     path to a .mtm specification file (see
 ///                     docs/models.md; malformed files exit 2 with a
 ///                     file:line:col diagnostic)
 ///   --axiom NAME      target axiom (default: every axiom, as --all)
@@ -117,6 +117,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
+#include "spec/printer.h"
 #include "spec/registry.h"
 #include "synth/checkpoint.h"
 #include "synth/engine.h"
@@ -564,7 +565,7 @@ main(int argc, char** argv)
         return 0;
     }
     if (args.emit_spec_mtm) {
-        std::printf("%s", mtm::model_to_mtm(model).c_str());
+        std::printf("%s", spec::model_to_source(model.spec()).c_str());
         return 0;
     }
     if (args.list_axioms) {
@@ -620,7 +621,8 @@ main(int argc, char** argv)
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
         const std::string fingerprint =
-            "model=" + model.name() + " bound=" + std::to_string(args.bound) +
+            synth::model_fingerprint(model) +
+            " bound=" + std::to_string(args.bound) +
             " threads=" + std::to_string(args.threads) +
             " vas=" + std::to_string(args.vas) +
             " backend=" + args.backend +
