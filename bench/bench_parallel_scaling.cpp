@@ -1,21 +1,17 @@
 /// \file
 /// Parallel-scaling bench for the v2 synthesis runtime: wall time of the
-/// full per-axiom suite sweep at 1/2/4/8 scheduler jobs on the fixture
+/// full all-axiom suite sweep at 1/2/4/8 scheduler jobs on the fixture
 /// MTMs, reporting speedup over the sequential (jobs=1) run. The sweep
-/// goes through synthesize_all_parallel, so every axiom's shards share ONE
-/// work-stealing pool (Chase-Lev deques + lazy adaptive shard
+/// goes through synthesize_all_parallel — one fused search of every axiom
+/// on ONE work-stealing pool (Chase-Lev deques + lazy adaptive shard
 /// re-splitting) — the paper's Alloy pipeline took a week single-threaded
 /// at bound 11; the point of the runtime is that added cores translate
 /// into wall-clock speedup while the synthesized suite stays
 /// byte-identical, at every job count and at every shard granularity.
 ///
-/// The bench also prices the lazy re-split design against the pre-PR
-/// eager-probe baseline: the old engine ran a count_skeletons probe per
-/// adaptive shard job (a full second enumeration of the shard's candidate
-/// prefix) before searching; lazy splitting deleted that pass, so the
-/// eager baseline costs exactly the lazy wall time plus a replay of the
-/// probe enumerations — measured here and reported as candidate
-/// throughput for both designs.
+/// A last run forces lazy re-splitting (threshold 64, one job) and
+/// reports its candidate throughput and the candidates its boundary
+/// children re-enumerated on resume (the design's only repeated work).
 ///
 /// Knobs: TRANSFORM_SCALING_BOUND (default 6), TRANSFORM_SCALING_MODEL
 /// (x86t_elt | x86tso, default x86t_elt), TRANSFORM_SCALING_JSON (output
@@ -32,7 +28,6 @@
 #include "bench_common.h"
 #include "mtm/model.h"
 #include "synth/engine.h"
-#include "synth/skeleton.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -45,46 +40,6 @@ std::string
 sweep_fingerprint(const std::vector<synth::SuiteResult>& suites)
 {
     return bench::suite_fingerprint(suites, /*include_violated=*/true);
-}
-
-/// Replays the enumeration work of the deleted eager probe pass,
-/// faithfully: the pre-PR engine ran `count_skeletons(shard, T + 1)` on a
-/// shard job only when a split was structurally possible — stride still
-/// subdividing, children non-empty, and (since its split_shard refused
-/// closed prefixes) never on a shard whose prefix had closed thread 0 —
-/// and recursed into the children of over-threshold shards. Returns the
-/// number of candidates those probes enumerated: pure overhead the lazy
-/// design no longer pays, since every candidate a lazy job visits is a
-/// real search step.
-std::uint64_t
-replay_probe_pass(const synth::SkeletonShard& shard, std::uint64_t threshold,
-                  std::uint64_t stride)
-{
-    if (stride < synth::kMinLeafStride * 2) {
-        return 0;  // searched as a leaf, no probe
-    }
-    if (!shard.prefix.empty() && shard.prefix.back() == synth::kCloseThread) {
-        return 0;  // pre-PR: unsplittable closed prefix, searched directly
-    }
-    const auto children = synth::split_shard(shard);
-    if (children.empty()) {
-        return 0;
-    }
-    const std::uint64_t child_stride =
-        synth::child_stride_for(stride, children.size());
-    if (child_stride < synth::kMinLeafStride) {
-        return 0;
-    }
-    const std::uint64_t count =
-        synth::count_skeletons(shard, threshold + 1);
-    if (count <= threshold) {
-        return count;  // probed, then searched as a leaf
-    }
-    std::uint64_t enumerated = count;
-    for (const synth::SkeletonShard& child : children) {
-        enumerated += replay_probe_pass(child, threshold, child_stride);
-    }
-    return enumerated;
 }
 
 }  // namespace
@@ -101,9 +56,9 @@ main()
 
     bench::banner("parallel_scaling",
                   "synthesis-loop scaling (TransForm section IV at scale)",
-                  "one shared pool sweeps all axioms; suites are identical "
-                  "at every job count, shard depth, and re-split "
-                  "threshold; lazy re-splitting beats the eager probe");
+                  "one fused search sweeps all axioms; suites are "
+                  "identical at every job count, shard depth, and re-split "
+                  "threshold");
     std::printf("model %s, bounds %d..%d, %u hardware thread(s)\n\n",
                 model.name().c_str(), model.vm_aware() ? 4 : 2, bound, hw);
 
@@ -204,18 +159,10 @@ main()
                       closed_prefix_seen > 0) &&
          ok;
 
-    // Eager-probe baseline: lazy adaptive wall time at a threshold that
-    // forces re-splits, plus a replay of the probe enumerations the old
-    // engine ran on top of the same search. The throughput table shows
-    // the wall-clock story; the gating checks compare the *repeated
-    // enumeration work* of the two designs deterministically, since wall
-    // time on a loaded CI box is noise: lazy's only repeated work is the
-    // boundary-child skip replay — measured by the engine itself
-    // (skip_enumerations), because skips compound down a re-split chain
-    // and a resplits*T model would understate them — and it must stay
-    // within the probe enumerations the eager design spent on the same
-    // space; that inequality failing means the resume machinery
-    // re-enumerates more than the probe it replaced ever did.
+    // Lazy re-split run: a threshold small enough that shards abandon
+    // their search and resubmit the remainder as children. Its only
+    // repeated work is the boundary children's skip replay, measured by
+    // the engine itself (skip_enumerations).
     {
         synth::SynthesisOptions opt;
         opt.min_bound = model.vm_aware() ? 4 : 2;
@@ -225,22 +172,6 @@ main()
         util::Stopwatch lazy_watch;
         const auto suites = synth::synthesize_all_parallel(model, opt);
         const double lazy_wall = lazy_watch.elapsed_seconds();
-        util::Stopwatch probe_watch;
-        std::uint64_t probe_enumerated = 0;
-        for (const mtm::Axiom& axiom : model.axioms()) {
-            for (int size = opt.min_bound; size <= opt.bound; ++size) {
-                const synth::SkeletonOptions skeleton =
-                    synth::engine_skeleton_options(model, axiom.name, opt,
-                                                   size);
-                for (const synth::SkeletonShard& shard :
-                     synth::partition_skeletons_at_depth(skeleton, 1)) {
-                    probe_enumerated += replay_probe_pass(
-                        shard, opt.resplit_threshold, synth::kTicketStride);
-                }
-            }
-        }
-        const double probe_wall = probe_watch.elapsed_seconds();
-        const double eager_wall = lazy_wall + probe_wall;
         std::uint64_t programs = 0;
         std::uint64_t resplits = 0;
         std::uint64_t lazy_repeated = 0;
@@ -249,38 +180,24 @@ main()
             resplits += suite.scheduler.lazy_resplits;
             lazy_repeated += suite.scheduler.skip_enumerations;
         }
-        std::printf("\neager-probe baseline (adaptive, T=%llu):\n",
-                    static_cast<unsigned long long>(opt.resplit_threshold));
-        std::printf("  lazy   : %.3fs, %.0f candidates/s "
-                    "(%llu re-splits, %llu skip re-enumerations)\n",
+        std::printf("\nlazy re-splitting (adaptive, T=%llu): %.3fs, "
+                    "%.0f candidates/s (%llu re-splits, %llu skip "
+                    "re-enumerations)\n",
+                    static_cast<unsigned long long>(opt.resplit_threshold),
                     lazy_wall, static_cast<double>(programs) / lazy_wall,
                     static_cast<unsigned long long>(resplits),
                     static_cast<unsigned long long>(lazy_repeated));
-        std::printf("  eager  : %.3fs, %.0f candidates/s "
-                    "(+%.3fs probe replay, %llu probed candidates)\n",
-                    eager_wall, static_cast<double>(programs) / eager_wall,
-                    probe_wall,
-                    static_cast<unsigned long long>(probe_enumerated));
         json.push_back(bench::jnum("lazy_candidates_per_sec",
                                    static_cast<double>(programs) / lazy_wall));
-        json.push_back(bench::jnum("eager_candidates_per_sec",
-                                   static_cast<double>(programs) /
-                                       eager_wall));
         json.push_back(bench::jint("lazy_skip_enumerations", lazy_repeated));
-        json.push_back(bench::jint("eager_probe_enumerations",
-                                   probe_enumerated));
-        ok = bench::check("suite byte-identical in baseline run",
+        ok = bench::check("suite byte-identical in lazy re-split run",
                           sweep_fingerprint(suites) == reference_fp) &&
              ok;
         ok = bench::check("candidates counted once per sweep",
                           programs == reference_programs) &&
              ok;
-        ok = bench::check("re-splits actually fired in baseline run",
+        ok = bench::check("re-splits actually fired in lazy re-split run",
                           resplits > 0) &&
-             ok;
-        ok = bench::check(
-                 "lazy repeated work <= eager probe enumerations",
-                 lazy_repeated <= probe_enumerated) &&
              ok;
     }
 

@@ -1,5 +1,6 @@
 #include "obs/report.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -240,7 +241,7 @@ SuiteReport::merge(const SuiteReport& other)
     programs_considered += other.programs_considered;
     executions_considered += other.executions_considered;
     duplicates_rejected += other.duplicates_rejected;
-    seconds += other.seconds;
+    seconds = std::max(seconds, other.seconds);
     complete = complete && other.complete;
     cancelled = cancelled || other.cancelled;
     scheduler.merge(other.scheduler);

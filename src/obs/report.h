@@ -38,7 +38,13 @@ namespace transform::obs {
 /// and "failures" (quarantined-shard records, elt_check parity); scheduler
 /// objects gained observed_cost_resplits, resplit_threshold_min, and
 /// resplit_threshold_max (the observed-cost re-split feedback).
-inline constexpr int kMetricsSchemaVersion = 5;
+/// v6: no key changed, their meaning did: the suites of one fused search
+/// share its "seconds", "complete" and "cancelled", and its run-level
+/// objects — "scheduler", "phases", "alloc_sites", "failures" — are
+/// filled on the first suite only (zeros, workers aside, on the others),
+/// so totals count the search once; totals' "seconds" is the maximum over
+/// the suites, not their sum.
+inline constexpr int kMetricsSchemaVersion = 6;
 
 /// One suite's slice of the report.
 struct SuiteReport {
@@ -57,8 +63,9 @@ struct SuiteReport {
     std::vector<synth::ShardFailure> failures;  ///< quarantined shards
 
     /// Accumulates another suite's counters (SchedulerStats/SolverStats
-    /// merge semantics; seconds add, complete ANDs, cancelled ORs,
-    /// failures concatenate).
+    /// merge semantics; seconds take the maximum — the suites of one
+    /// search share its seconds — complete ANDs, cancelled ORs, failures
+    /// concatenate).
     void merge(const SuiteReport& other);
 };
 

@@ -84,7 +84,7 @@ class TraceCollector {
 
     /// Records an async span pair (Chrome "b"/"e" events, rendered on
     /// their own track). Async spans may overlap freely — used for
-    /// per-suite spans, which interleave on a shared pool. Pair the two
+    /// per-search spans, which may interleave on a shared pool. Pair the two
     /// calls with the same \p id (next_flow_id() is a fine source).
     void record_async_begin(int lane, std::string name, std::uint64_t id,
                             std::uint64_t ts_ns);

@@ -95,10 +95,10 @@ int resolve_jobs(int jobs);
 /// process that holds a reference to it.
 ///
 /// Work is organized in *job groups*: a group is a wait-able set of jobs
-/// (one synthesis suite submits one group; `synthesize_all_parallel`
-/// submits one group per axiom to a single pool). Groups are independent —
-/// jobs of different groups interleave freely on the same workers — and
-/// each group carries its own counters so a suite's stats stay attributable
+/// (one synthesis search submits one group — `synthesize_all_parallel`'s
+/// fused search of every axiom included). Groups are independent — jobs
+/// of different groups interleave freely on the same workers — and each
+/// group carries its own counters so a search's stats stay attributable
 /// even on a shared pool.
 ///
 /// Thread-safety contract: make_group/submit/wait/stats are safe from any

@@ -16,7 +16,14 @@
 namespace transform::synth {
 namespace {
 
-constexpr const char* kHeaderMagic = "transform-checkpoint v1";
+/// v2: records carry per-axiom counters and axiom-tagged tests, since one
+/// task searches every axiom of a run; task ids hash the run's axioms.
+constexpr const char* kHeaderMagic = "transform-checkpoint v2";
+constexpr const char* kMagicPrefix = "transform-checkpoint ";
+
+/// A record names at most this many axioms (an AxiomMask holds 32); a
+/// larger count is a corrupt record, not an allocation request.
+constexpr std::size_t kMaxAxioms = 32;
 
 /// FNV-1a 64-bit over a byte string — the record payload checksum (and the
 /// base of checkpoint_task_id). Not cryptographic; it only has to catch
@@ -42,17 +49,16 @@ fnv1a_u64(std::uint64_t value, std::uint64_t h)
 }
 
 /// Serializes one record's payload: the tests, each as a framed block of
-/// (ticket, size, canonical key, violated names, witness XML). The witness
-/// goes through the exact-round-trip XML form (elt/serialize.h), so a
-/// replayed test is byte-identical to the searched one.
+/// (axiom, ticket, size, canonical key, violated names, witness XML). The
+/// witness goes through the exact-round-trip XML form (elt/serialize.h),
+/// so a replayed test is byte-identical to the searched one.
 std::string
-serialize_tests(
-    const std::vector<std::pair<SynthesizedTest, std::uint64_t>>& tests)
+serialize_tests(const std::vector<CheckpointJournal::JournaledTest>& tests)
 {
     std::ostringstream out;
-    for (const auto& [test, ticket] : tests) {
+    for (const auto& [axiom, test, ticket] : tests) {
         const std::string xml = elt::execution_to_xml(test.witness);
-        out << "test " << ticket << ' ' << test.size << ' '
+        out << "test " << axiom << ' ' << ticket << ' ' << test.size << ' '
             << test.canonical_key.size() << ' ' << test.violated.size()
             << ' ' << xml.size() << '\n';
         out << test.canonical_key << '\n';
@@ -65,8 +71,8 @@ serialize_tests(
 }
 
 bool
-parse_tests(const std::string& payload,
-            std::vector<std::pair<SynthesizedTest, std::uint64_t>>* out)
+parse_tests(const std::string& payload, std::size_t axioms,
+            std::vector<CheckpointJournal::JournaledTest>* out)
 {
     std::size_t pos = 0;
     while (pos < payload.size()) {
@@ -76,12 +82,13 @@ parse_tests(const std::string& payload,
         }
         std::istringstream head(payload.substr(pos, eol - pos));
         std::string tag;
+        std::size_t axiom = 0;
         std::uint64_t ticket = 0;
         int size = 0;
         std::size_t key_len = 0, n_violated = 0, xml_len = 0;
-        if (!(head >> tag >> ticket >> size >> key_len >> n_violated >>
-              xml_len) ||
-            tag != "test") {
+        if (!(head >> tag >> axiom >> ticket >> size >> key_len >>
+              n_violated >> xml_len) ||
+            tag != "test" || axiom >= axioms) {
             return false;
         }
         pos = eol + 1;
@@ -114,7 +121,7 @@ parse_tests(const std::string& payload,
         }
         test.witness = *witness;
         pos += xml_len;
-        out->emplace_back(std::move(test), ticket);
+        out->push_back({axiom, std::move(test), ticket});
     }
     return true;
 }
@@ -207,8 +214,12 @@ CheckpointJournal::create(const std::string& path,
 
 std::unique_ptr<CheckpointJournal>
 CheckpointJournal::resume(const std::string& path,
-                          const std::string& fingerprint, std::string* error)
+                          const std::string& fingerprint, std::string* error,
+                          bool* refused)
 {
+    if (refused != nullptr) {
+        *refused = false;
+    }
     std::string contents;
     {
         std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -223,11 +234,21 @@ CheckpointJournal::resume(const std::string& path,
         }
         std::fclose(f);
     }
+    if (refused != nullptr) {
+        *refused = true;  // every return below is a refusal until the end
+    }
     // Header: magic line, fingerprint length line, fingerprint bytes.
     std::size_t pos = contents.find('\n');
-    if (pos == std::string::npos ||
-        contents.substr(0, pos) != kHeaderMagic) {
-        *error = path + ": not a transform checkpoint journal";
+    const std::string magic =
+        contents.substr(0, pos == std::string::npos ? 0 : pos);
+    if (magic != kHeaderMagic) {
+        if (magic.rfind(kMagicPrefix, 0) == 0) {
+            *error = path + ": journal format '" + magic +
+                     "' is not the '" + kHeaderMagic +
+                     "' this build reads — start a fresh checkpoint";
+        } else {
+            *error = path + ": not a transform checkpoint journal";
+        }
         return nullptr;
     }
     ++pos;
@@ -266,13 +287,20 @@ CheckpointJournal::resume(const std::string& path,
         }
         std::istringstream head(contents.substr(pos, eol - pos));
         ShardRecord rec;
+        std::size_t axioms = 0;
         std::size_t payload_len = 0;
         std::uint64_t checksum = 0;
         int split = 0;
-        if (!(head >> tag >> rec.task_id >> rec.programs >> rec.executions >>
-              rec.duplicates >> split >> rec.visited >> rec.resume_decision >>
-              rec.resume_skip >> payload_len >> checksum) ||
-            tag != "shard") {
+        if (!(head >> tag >> rec.task_id >> split >> rec.visited >>
+              rec.resume_decision >> rec.resume_skip >> axioms) ||
+            tag != "shard" || axioms > kMaxAxioms) {
+            break;
+        }
+        rec.counts.resize(axioms);
+        for (AxiomCounts& counts : rec.counts) {
+            head >> counts.programs >> counts.executions >> counts.duplicates;
+        }
+        if (!(head >> payload_len >> checksum)) {
             break;
         }
         rec.split = split != 0;
@@ -283,7 +311,8 @@ CheckpointJournal::resume(const std::string& path,
         if (fnv1a(payload, payload_len) != checksum) {
             break;
         }
-        if (!parse_tests(std::string(payload, payload_len), &rec.tests)) {
+        if (!parse_tests(std::string(payload, payload_len), axioms,
+                         &rec.tests)) {
             break;
         }
         pos = eol + 1 + payload_len;
@@ -291,6 +320,9 @@ CheckpointJournal::resume(const std::string& path,
         journal->impl_->records[rec.task_id] = std::move(rec);
     }
 
+    if (refused != nullptr) {
+        *refused = false;
+    }
     const int fd = ::open(path.c_str(), O_WRONLY, 0644);
     if (fd < 0) {
         *error = path + ": " + std::strerror(errno);
@@ -318,12 +350,15 @@ CheckpointJournal::append(const ShardRecord& record)
 {
     const std::string payload = serialize_tests(record.tests);
     std::ostringstream framed;
-    framed << "shard " << record.task_id << ' ' << record.programs << ' '
-           << record.executions << ' ' << record.duplicates << ' '
-           << (record.split ? 1 : 0) << ' ' << record.visited << ' '
-           << record.resume_decision << ' ' << record.resume_skip << ' '
-           << payload.size() << ' ' << fnv1a(payload.data(), payload.size())
-           << '\n'
+    framed << "shard " << record.task_id << ' ' << (record.split ? 1 : 0)
+           << ' ' << record.visited << ' ' << record.resume_decision << ' '
+           << record.resume_skip << ' ' << record.counts.size();
+    for (const AxiomCounts& counts : record.counts) {
+        framed << ' ' << counts.programs << ' ' << counts.executions << ' '
+               << counts.duplicates;
+    }
+    framed << ' ' << payload.size() << ' '
+           << fnv1a(payload.data(), payload.size()) << '\n'
            << payload;
     const std::string bytes = framed.str();
     std::lock_guard<std::mutex> lock(impl_->append_mu);
@@ -345,11 +380,16 @@ CheckpointJournal::loaded() const
 }
 
 std::uint64_t
-checkpoint_task_id(const std::string& axiom, const SkeletonShard& shard,
-                   std::uint64_t ticket_base, std::uint64_t ticket_stride,
-                   std::uint64_t skip)
+checkpoint_task_id(const std::vector<std::string>& axioms,
+                   const SkeletonShard& shard, std::uint64_t ticket_base,
+                   std::uint64_t ticket_stride, std::uint64_t skip)
 {
-    std::uint64_t h = fnv1a(axiom.data(), axiom.size());
+    std::uint64_t h = fnv1a(kHeaderMagic, std::strlen(kHeaderMagic));
+    h = fnv1a_u64(axioms.size(), h);
+    for (const std::string& axiom : axioms) {
+        h = fnv1a(axiom.data(), axiom.size(), h);
+        h = fnv1a_u64(axiom.size(), h);
+    }
     h = fnv1a_u64(static_cast<std::uint64_t>(shard.options.num_events), h);
     h = fnv1a_u64(shard.prefix.size(), h);
     for (const int decision : shard.prefix) {

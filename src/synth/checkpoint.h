@@ -3,8 +3,9 @@
 /// "Checkpoint/resume").
 ///
 /// `elt_synth --checkpoint <path>` journals every *completed* shard-search
-/// task: its counters, its synthesized tests (witnesses serialized through
-/// the exact-round-trip XML form), and — when the task abandoned its
+/// task: its per-axiom counters, its synthesized tests with their axioms
+/// (witnesses serialized through the exact-round-trip XML form), and — when
+/// the task abandoned its
 /// search at the re-split threshold — the resume point its children were
 /// derived from. `--resume` replays journaled tasks instead of
 /// re-searching them; tasks missing from the journal (in flight when the
@@ -32,24 +33,40 @@ namespace transform::synth {
 
 /// One run's append-only journal of completed shard tasks. Thread-safe:
 /// append() serializes under a mutex; find() reads the immutable
-/// load-time index (appends never touch it). One journal serves every
-/// suite of a run — the task id includes the axiom.
+/// load-time index (appends never touch it). One journal serves one
+/// search, which covers every axiom of the run — the task id includes the
+/// run's axioms.
 class CheckpointJournal {
   public:
-    /// A completed shard-search task, exactly as the engine executed it.
-    struct ShardRecord {
-        std::uint64_t task_id = 0;
+    /// One axiom's counters in a task (SuiteResult's counters, summed over
+    /// the run's tasks).
+    struct AxiomCounts {
         std::uint64_t programs = 0;
         std::uint64_t executions = 0;
         std::uint64_t duplicates = 0;
+    };
+
+    /// An accepted test: the position of its axiom among the run's
+    /// axioms, the test, and its merge ticket.
+    struct JournaledTest {
+        std::size_t axiom = 0;
+        SynthesizedTest test;
+        std::uint64_t ticket = 0;
+    };
+
+    /// A completed shard-search task, exactly as the engine executed it.
+    struct ShardRecord {
+        std::uint64_t task_id = 0;
         /// True when the task abandoned its search at the re-split
         /// threshold; visited/resume_* reproduce the child submission.
         bool split = false;
         std::uint64_t visited = 0;
         int resume_decision = 0;
         std::uint64_t resume_skip = 0;
-        /// The task's accepted tests with their merge tickets.
-        std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
+        /// Per-axiom counters, in the run's axiom order.
+        std::vector<AxiomCounts> counts;
+        /// The task's accepted tests.
+        std::vector<JournaledTest> tests;
     };
 
     ~CheckpointJournal();
@@ -65,14 +82,17 @@ class CheckpointJournal {
         const std::string& path, const std::string& fingerprint,
         std::string* error);
 
-    /// Opens an existing journal for resume: verifies the fingerprint,
-    /// loads every intact record (a truncated or corrupt tail is dropped
-    /// and the file truncated back to the last good record), and reopens
-    /// for appending. Returns nullptr and fills \p error when the file is
-    /// missing, unreadable, or was written by a different configuration.
+    /// Opens an existing journal for resume: verifies the format version
+    /// and the fingerprint, loads every intact record (a truncated or
+    /// corrupt tail is dropped and the file truncated back to the last
+    /// good record), and reopens for appending. Returns nullptr and fills
+    /// \p error when the file is missing or unreadable, or — setting
+    /// \p refused, when given — when it is not a journal of this format
+    /// (a journal of an older format included) or was written by a
+    /// different configuration.
     static std::unique_ptr<CheckpointJournal> resume(
         const std::string& path, const std::string& fingerprint,
-        std::string* error);
+        std::string* error, bool* refused = nullptr);
 
     /// The loaded record for \p task_id, or nullptr. Only records loaded
     /// by resume() are visible — same-run appends are never re-queried.
@@ -90,12 +110,12 @@ class CheckpointJournal {
     std::unique_ptr<Impl> impl_;
 };
 
-/// Stable identity of one shard task within a run: a hash of the axiom,
-/// the shard's event bound and prefix, and the task's ticket range and
-/// skip. Stable across processes and scheduling (the task tree is a pure
-/// function of the options), which is what lets --resume match journaled
-/// records to the tasks it re-creates.
-std::uint64_t checkpoint_task_id(const std::string& axiom,
+/// Stable identity of one shard task within a run: a hash of the format
+/// version, the run's axioms, the shard's event bound and prefix, and the
+/// task's ticket range and skip. Stable across processes and scheduling
+/// (the task tree is a pure function of the options), which is what lets
+/// --resume match journaled records to the tasks it re-creates.
+std::uint64_t checkpoint_task_id(const std::vector<std::string>& axioms,
                                  const SkeletonShard& shard,
                                  std::uint64_t ticket_base,
                                  std::uint64_t ticket_stride,

@@ -74,7 +74,7 @@ cost_slot(int num_events)
 /// Rdb per write — so the candidate threshold shrinks as those knobs grow.
 /// A pure function of the skeleton options; execute_shard_task layers the
 /// observed-cost EWMA on top (auto mode only), which refines the threshold
-/// from measured per-candidate nanos once the suite has observations.
+/// from measured per-candidate nanos once the run has observations.
 std::uint64_t
 resolve_resplit_threshold(const SynthesisOptions& options,
                           const SkeletonOptions& skeleton)
@@ -110,21 +110,48 @@ set_axiom_requirements(const std::string& axiom, SkeletonOptions* skeleton)
     }
 }
 
+/// One axiom of a search: its suite name, its bit in the model's violated
+/// masks, and the features a candidate needs before the axiom is open on
+/// it (the require_* flags of set_axiom_requirements).
+struct RunAxiom {
+    std::string name;
+    mtm::AxiomMask bit = 0;
+    SkeletonOptions requirements;
+};
+
+/// SAT backend: one axiom's live solver session on one worker, plus the
+/// counters of the replays it handed to the worker's replay solver.
+struct SatSession {
+    mtm::IncrementalEncoding incremental;
+    sat::SolverStats replay_stats;
+};
+
+/// A witness found for one axiom of a candidate: the axiom's position in
+/// the run, the execution, and every axiom that execution violates.
+struct Witness {
+    std::size_t axiom = 0;
+    Execution execution;
+    mtm::AxiomMask violated = 0;
+};
+
 /// Per-worker reusable buffers for the candidate-evaluation hot path:
 /// derivation output + scratch, the judge's buffers, and the
-/// canonicalizer's tables. One per (suite, worker); a worker runs one job
-/// at a time, so jobs index into the suite's vector with their worker id.
+/// canonicalizer's tables. One per (run, worker); a worker runs one job at
+/// a time, so jobs index into the run's vector with their worker id.
 struct WorkerScratch {
     elt::DerivedRelations derived;
     elt::DeriveScratch derive;
     JudgeScratch judge;
     CanonicalScratch canonical;
-    /// SAT backend: the worker's live solver session (configured per suite
-    /// by launch_suite; idle otherwise) and the factory + solver reused by
-    /// the one-program replays of accepted candidates.
-    mtm::IncrementalEncoding incremental;
-    mtm::EncodingScratch encoding;
-    /// Fault injection (docs/robustness.md): the suite's plan plus the
+    /// SAT backend: one session per axiom of the run, configured by
+    /// launch_search (empty under the enumerative backend), and the
+    /// factory + solver that replay accepted candidates. A replay starts
+    /// from a reset solver, so one replay solver serves every axiom.
+    std::vector<SatSession> sat;
+    mtm::EncodingScratch replay;
+    /// The current candidate's accepted witnesses (find_witnesses).
+    std::vector<Witness> found;
+    /// Fault injection (docs/robustness.md): the run's plan plus the
     /// probe identity of the candidate under evaluation — set per job and
     /// per candidate by search_shard, so firing is a pure function of
     /// (seed, site, candidate ticket, attempt), never of scheduling. Null
@@ -134,149 +161,8 @@ struct WorkerScratch {
     int fault_attempt = 0;
 };
 
-/// Searches \p program's execution space for the first violating,
-/// interesting, minimal witness of the axiom at \p axiom_index (any one
-/// witness suffices: minimality and dedup are program-level once a
-/// forbidden witness exists). Returns true and fills the out-params when
-/// one exists. All per-execution work runs through \p scratch; the only
-/// allocations on an accepted witness are the witness copy and its
-/// violated-axiom names.
-bool
-find_witness(const mtm::Model& model, const std::string& axiom_name,
-             int axiom_index, const SynthesisOptions& options,
-             const Program& program, const util::Deadline& deadline,
-             WorkerScratch* scratch, obs::MetricsRegistry* metrics,
-             int worker, Execution* witness,
-             std::vector<std::string>* witness_violated,
-             std::uint64_t* executions_considered, bool* timed_out,
-             bool* cancelled)
-{
-    if (!contains_write(program)) {
-        return false;  // never interesting: skip the whole execution space
-    }
-    const mtm::AxiomMask target = mtm::AxiomMask{1} << axiom_index;
-    bool accepted = false;
-    std::uint64_t considered = 0;
-    auto consider = [&](const Execution& execution) {
-        ++considered;
-        if (deadline.expired()) {
-            *timed_out = true;
-            return false;
-        }
-        if (options.cancel.requested()) {
-            *cancelled = true;
-            return false;
-        }
-        if (scratch->fault_plan != nullptr) {
-            scratch->fault_plan->maybe_fire(util::FaultSite::kDerive,
-                                            scratch->fault_key,
-                                            scratch->fault_attempt);
-        }
-        mtm::AxiomMask violated{};
-        {
-            const obs::ScopedPhase phase(metrics, worker,
-                                         obs::Phase::kDerive);
-            elt::derive_into(execution, model.derive_options(),
-                             &scratch->derived, &scratch->derive);
-            if (!scratch->derived.well_formed) {
-                return true;
-            }
-            violated = model.violated_mask(program, scratch->derived,
-                                           &scratch->derive.cycle);
-        }
-        if ((violated & target) == 0) {
-            return true;
-        }
-        if (options.require_minimal) {
-            if (scratch->fault_plan != nullptr) {
-                scratch->fault_plan->maybe_fire(util::FaultSite::kJudge,
-                                                scratch->fault_key,
-                                                scratch->fault_attempt);
-            }
-            // The judge attributes its own phases (kJudge for verdicts,
-            // kRelax for relaxation rebuilds) via scratch->judge.metrics,
-            // set per job in search_shard.
-            const MinimalityVerdict verdict =
-                judge(model, execution, &scratch->judge);
-            if (!verdict.minimal) {
-                return true;
-            }
-        }
-        accepted = true;
-        *witness = execution;
-        *witness_violated = model.mask_names(violated);
-        return false;  // stop at the first qualifying witness
-    };
-
-    // Streaming AllSAT: consider() returning false stops the solver at
-    // the first accepted witness instead of materializing the whole
-    // violating space. The search first PROBES through the worker's live
-    // assumption-based session (no per-candidate encoding; candidates of
-    // one structure share a solver and its learned clauses). A probe
-    // acceptance only proves existence — the live solver's model order
-    // depends on the candidates before it — so accepted candidates (the
-    // rare case) REPLAY through a one-program encoding on a clean solver,
-    // whose witness and executions_considered depend on the program
-    // alone. Rejected candidates enumerate the same violating set either
-    // way, so the probe's execution count stands.
-    auto sat_search = [&]() {
-        // Allocations of the encode/solve machinery land in kSatEncode
-        // (the time split between encode and solve comes from the solver's
-        // gated clock; the alloc split is not worth a second seam).
-        // consider()'s ScopedPhase sections re-tag their own allocations.
-        const obs::ScopedAllocPhase alloc_phase(obs::Phase::kSatEncode);
-        if (scratch->fault_plan != nullptr) {
-            scratch->fault_plan->maybe_fire(util::FaultSite::kSatSolve,
-                                            scratch->fault_key,
-                                            scratch->fault_attempt);
-        }
-        scratch->incremental.enumerate(program, consider);
-        if (!accepted || *timed_out) {
-            return;
-        }
-        considered = 0;  // the replay recounts from scratch
-        accepted = false;
-        // Note the replay re-derives and re-judges the executions the
-        // probe already visited: derive/judge phase totals honestly
-        // include that duplicated work.
-        mtm::ProgramEncoding encoding(program, &model, &scratch->encoding);
-        encoding.enumerate(axiom_name, consider);
-    };
-
-    if (options.backend == Backend::kEnumerative) {
-        for_each_execution(program, model.vm_aware(), consider);
-    } else if (metrics == nullptr) {
-        sat_search();
-    } else {
-        // Same search, with phase attribution. kSatSolve comes from the
-        // solvers' own gated clocks (set_timing) — the live session's
-        // solvers plus the replay solver — and kSatEncode is the remaining
-        // wall time of the probe+replay pair after subtracting solve time
-        // and the derive/judge time consider() already claimed above — so
-        // the phases never double-count.
-        auto solve_nanos = [&]() {
-            return scratch->encoding.solver.lifetime_stats().solve_nanos +
-                   scratch->incremental.lifetime_stats().solve_nanos;
-        };
-        const auto inner_nanos = [&]() {
-            return metrics->worker_phase_nanos(worker, obs::Phase::kDerive) +
-                   metrics->worker_phase_nanos(worker, obs::Phase::kJudge) +
-                   metrics->worker_phase_nanos(worker, obs::Phase::kRelax);
-        };
-        const std::uint64_t start = obs::now_nanos();
-        const std::uint64_t inner_before = inner_nanos();
-        const std::uint64_t solve_before = solve_nanos();
-        sat_search();
-        const std::uint64_t wall = obs::now_nanos() - start;
-        const std::uint64_t solve = solve_nanos() - solve_before;
-        const std::uint64_t inner = inner_nanos() - inner_before;
-        metrics->add(worker, obs::Phase::kSatSolve, solve);
-        metrics->add(worker, obs::Phase::kSatEncode,
-                     wall > solve + inner ? wall - solve - inner : 0);
-    }
-    *executions_considered += considered;
-    return accepted;
-}
+/// Per-axiom counters of a search, or of one of its tasks.
+using AxiomTally = CheckpointJournal::AxiomCounts;
 
 /// One unit of search: a skeleton shard plus the ticket sub-range its
 /// candidates are numbered from. Lazy re-splitting replaces the unsearched
@@ -301,34 +187,51 @@ struct ShardTask {
     std::uint64_t trace_flow = 0;
 };
 
-/// All in-flight state of one suite synthesis: the job closures reference
-/// it, so it outlives the group (launch_suite ... pool.wait ...
-/// finish_suite). One SuiteRun maps to one sched job group; several
-/// SuiteRuns can share one pool (synthesize_all_parallel).
-struct SuiteRun {
-    SuiteRun(const mtm::Model& source, std::string axiom_name,
-             const SynthesisOptions& opts)
-        : model(source),
-          axiom(std::move(axiom_name)), options(opts),
-          deadline(opts.time_budget_seconds)
+/// Names a search in traces and quarantine records: its axiom when it has
+/// one, "all axioms" otherwise.
+std::string
+search_label(const std::vector<std::string>& axiom_names)
+{
+    return axiom_names.size() == 1 ? axiom_names.front() : "all axioms";
+}
+
+/// The RunAxioms of \p axiom_names, in that order.
+std::vector<RunAxiom>
+run_axioms(const mtm::Model& model,
+           const std::vector<std::string>& axiom_names,
+           const SynthesisOptions& options)
+{
+    std::vector<RunAxiom> axioms;
+    for (const std::string& name : axiom_names) {
+        TF_ASSERT(model.axiom(name) != nullptr);
+        axioms.push_back({name, mtm::AxiomMask{1} << model.axiom_index(name),
+                          engine_skeleton_options(model, name, options, 0)});
+    }
+    return axioms;
+}
+
+/// All in-flight state of one fused search: every axiom of the run walks
+/// one candidate stream, so one job group, one dedup index and one set of
+/// worker scratch serve them all (docs/scheduler.md, "Fused all-axiom
+/// search"). The job closures reference it, so it outlives the group
+/// (launch_search ... pool.wait ... finish_search).
+struct SearchRun {
+    SearchRun(const mtm::Model& source, std::vector<std::string> axiom_names,
+              const SynthesisOptions& opts)
+        : model(source), names(std::move(axiom_names)),
+          label(search_label(names)), options(opts),
+          axioms(run_axioms(model, names, options)),
+          deadline(opts.time_budget_seconds), tallies(axioms.size())
     {
     }
 
-    /// The per-suite time budget starts ticking when the suite's FIRST
-    /// shard job actually runs, not at submission: on a shared pool
-    /// (synthesize_all_parallel) a later axiom's jobs queue behind earlier
-    /// axioms', and charging that queue wait against the budget would
-    /// starve late suites that v1's per-axiom threads served immediately.
-    /// (Once running, the budget is still wall time and may overlap other
-    /// suites' shards — the budget bounds latency, not dedicated compute.)
-    ///
-    /// SuiteResult::seconds follows the same clock: the watch restarts
-    /// here, so a queued suite reports its search time, not search + queue
-    /// wait (which previously made `seconds >> budget` with `complete =
-    /// true` look contradictory); the wait is reported separately as
+    /// The time budget starts ticking when the run's FIRST shard job
+    /// actually runs, not at submission (the pool may still be spinning
+    /// up). SuiteResult::seconds follows the same clock: the watch restarts
+    /// here and the wait before it is reported separately as
     /// SchedulerStats::queue_wait_seconds. Safe despite running on a
     /// worker thread: call_once orders it against every other job, and
-    /// finish_suite reads the watch only after pool.wait() on the group.
+    /// finish_search reads the watch only after pool.wait() on the group.
     const util::Deadline&
     armed_deadline()
     {
@@ -341,14 +244,31 @@ struct SuiteRun {
         return deadline;
     }
 
-    /// One private copy per suite; every shard job of the suite shares it
-    /// by const reference — a compiled Model is immutable (evaluation state
-    /// lives in each worker's scratch), so concurrent evaluation through
-    /// one Model is safe.
+    /// The axioms open on \p program: those whose requirements it meets.
+    /// The stream already carries the requirements every axiom shares, so
+    /// this only re-checks the per-axiom ones (meets_requirements returns
+    /// at once for an axiom with none).
+    mtm::AxiomMask
+    open_axioms(const Program& program) const
+    {
+        mtm::AxiomMask open = 0;
+        for (const RunAxiom& axiom : axioms) {
+            if (meets_requirements(program, axiom.requirements)) {
+                open |= axiom.bit;
+            }
+        }
+        return open;
+    }
+
+    /// One private copy per run; every shard job shares it by const
+    /// reference — a compiled Model is immutable (evaluation state lives
+    /// in each worker's scratch), so concurrent evaluation is safe.
     const mtm::Model model;
-    const std::string axiom;
-    int axiom_index = 0;  ///< bit position of axiom in model's masks
+    /// The run's axioms' names; suites come out in this order.
+    const std::vector<std::string> names;
+    const std::string label;  ///< search_label(names)
     const SynthesisOptions options;
+    const std::vector<RunAxiom> axioms;  ///< names' RunAxioms
     /// Per-worker evaluation scratch, indexed by the pool worker id a job
     /// runs on (sized workers() at launch; a worker runs one job at a time).
     std::vector<WorkerScratch> worker_scratch;
@@ -361,9 +281,12 @@ struct SuiteRun {
     sched::ShardedKeyIndex index;
     sched::WorkStealingPool::GroupHandle group;
 
-    std::atomic<std::uint64_t> programs{0};
-    std::atomic<std::uint64_t> executions{0};
-    std::atomic<std::uint64_t> duplicates{0};
+    std::mutex mu;  ///< guards tallies, merged and failures
+    std::vector<AxiomTally> tallies;  ///< per run axiom
+    /// Accepted tests of every axiom, each with its axiom and merge ticket.
+    std::vector<CheckpointJournal::JournaledTest> merged;
+    std::vector<ShardFailure> failures;  ///< quarantined shards
+
     std::atomic<std::uint64_t> lazy_resplits{0};
     std::atomic<std::uint64_t> closed_prefix_splits{0};
     std::atomic<std::uint64_t> skip_enumerations{0};
@@ -392,9 +315,11 @@ struct SuiteRun {
 
     /// Progress-heartbeat counters (options.progress): jobs submitted /
     /// drained across every path (initial shards, re-split children,
-    /// retries, replay children) and pre-merge accepted witnesses.
+    /// retries, replay children), candidates visited, and pre-merge
+    /// accepted witnesses.
     std::atomic<std::uint64_t> jobs_submitted{0};
     std::atomic<std::uint64_t> jobs_done{0};
+    std::atomic<std::uint64_t> candidates{0};
     std::atomic<std::uint64_t> tests_found{0};
 
     /// Records that a shard job armed re-split threshold \p threshold
@@ -435,10 +360,7 @@ struct SuiteRun {
     }
 
     /// Every shard job calls this on completion, so search_seconds ends up
-    /// holding arm-to-last-job wall time — finish_suite cannot read the
-    /// watch itself, because on a shared pool (synthesize_all_parallel) it
-    /// only runs after EVERY suite's group drained, which would charge an
-    /// early suite for the later suites' tail.
+    /// holding arm-to-last-job wall time.
     void
     note_job_finished()
     {
@@ -450,14 +372,228 @@ struct SuiteRun {
         }
     }
 
-    std::mutex mu;  ///< guards merged + failures (one lock per event)
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> merged;
-    std::vector<ShardFailure> failures;  ///< quarantined shards
+    /// Adds one finished pass's per-axiom counters and tests to the run.
+    void
+    absorb(const std::vector<AxiomTally>& pass,
+           std::vector<CheckpointJournal::JournaledTest> tests)
+    {
+        if (!tests.empty()) {
+            tests_found.fetch_add(tests.size(), std::memory_order_relaxed);
+        }
+        const obs::ScopedAllocSite site(obs::AllocSite::kSiteSuiteGrowth);
+        std::lock_guard<std::mutex> lock(mu);
+        for (std::size_t a = 0; a < tallies.size(); ++a) {
+            tallies[a].programs += pass[a].programs;
+            tallies[a].executions += pass[a].executions;
+            tallies[a].duplicates += pass[a].duplicates;
+        }
+        for (auto& test : tests) {
+            merged.push_back(std::move(test));
+        }
+    }
 
     /// Builds the job for a ShardTask; recursive through re-splitting, so
-    /// it lives here rather than on the launch_suite stack.
+    /// it lives here rather than on the launch_search stack.
     std::function<sched::WorkStealingPool::Job(ShardTask)> make_job;
 };
+
+/// Searches \p program's execution space once for every axiom in \p open:
+/// the witness of an axiom is the first execution, in the backend's
+/// order, that violates it and is minimal (any one witness suffices:
+/// minimality and dedup are program-level once a forbidden witness
+/// exists). Accepted witnesses land in scratch->found; \p executions
+/// counts, per run axiom, the executions walked while the axiom was open.
+///
+/// The enumerative backend walks the executions once: it calls
+/// violated_mask once per execution, judges only when the mask hits a
+/// still-open axiom (the judge does not depend on the axiom), records a
+/// minimal execution as the witness of every open axiom it violates, and
+/// stops when no axiom is left open. The SAT backend searches each open
+/// axiom with its own session, as a one-axiom search would.
+void
+find_witnesses(SearchRun* run, const Program& program, mtm::AxiomMask open,
+               const util::Deadline& deadline, WorkerScratch* scratch,
+               int worker, std::vector<AxiomTally>* executions,
+               bool* timed_out, bool* cancelled)
+{
+    scratch->found.clear();
+    if (!contains_write(program)) {
+        return;  // never interesting: skip the whole execution space
+    }
+    const mtm::Model& model = run->model;
+    const SynthesisOptions& options = run->options;
+    obs::MetricsRegistry* metrics = run->metrics.get();
+    // The executions one pass visits, the axioms it still looks for, and
+    // the verdict of the last execution evaluated.
+    std::uint64_t walked = 0;
+    mtm::AxiomMask wanted = open;
+    mtm::AxiomMask violated = 0;
+    // Shared per-execution step: derive, verdict, and the judge when the
+    // verdict hits a wanted axiom. Returns the wanted axioms this
+    // execution is a minimal violation of (0 = keep looking).
+    auto evaluate = [&](const Execution& execution) -> mtm::AxiomMask {
+        ++walked;
+        if (deadline.expired()) {
+            *timed_out = true;
+            return 0;
+        }
+        if (options.cancel.requested()) {
+            *cancelled = true;
+            return 0;
+        }
+        if (scratch->fault_plan != nullptr) {
+            scratch->fault_plan->maybe_fire(util::FaultSite::kDerive,
+                                            scratch->fault_key,
+                                            scratch->fault_attempt);
+        }
+        {
+            const obs::ScopedPhase phase(metrics, worker,
+                                         obs::Phase::kDerive);
+            elt::derive_into(execution, model.derive_options(),
+                             &scratch->derived, &scratch->derive);
+            if (!scratch->derived.well_formed) {
+                return 0;
+            }
+            violated = model.violated_mask(program, scratch->derived,
+                                           &scratch->derive.cycle);
+        }
+        const mtm::AxiomMask hit = violated & wanted;
+        if (hit == 0) {
+            return 0;
+        }
+        if (options.require_minimal) {
+            if (scratch->fault_plan != nullptr) {
+                scratch->fault_plan->maybe_fire(util::FaultSite::kJudge,
+                                                scratch->fault_key,
+                                                scratch->fault_attempt);
+            }
+            // The judge attributes its own phases (kJudge for verdicts,
+            // kRelax for relaxation rebuilds) via scratch->judge.metrics,
+            // set per job in search_shard.
+            if (!judge(model, execution, &scratch->judge).minimal) {
+                return 0;
+            }
+        }
+        return hit;
+    };
+    const auto stopped = [&] { return *timed_out || *cancelled; };
+    // Closes the axioms in \p mask: \p witness (null = none found) is
+    // their witness, and the executions walked so far count for each.
+    const auto close = [&](mtm::AxiomMask mask, const Execution* witness) {
+        for (std::size_t a = 0; a < run->axioms.size(); ++a) {
+            if ((mask & run->axioms[a].bit) == 0) {
+                continue;
+            }
+            (*executions)[a].executions += walked;
+            if (witness != nullptr) {
+                scratch->found.push_back({a, *witness, violated});
+            }
+        }
+        wanted &= ~mask;
+    };
+
+    if (options.backend == Backend::kEnumerative) {
+        for_each_execution(program, model.vm_aware(),
+                           [&](const Execution& execution) {
+            const mtm::AxiomMask hit = evaluate(execution);
+            if (hit != 0) {
+                close(hit, &execution);
+            }
+            return wanted != 0 && !stopped();
+        });
+        close(wanted, nullptr);
+        return;
+    }
+
+    // Streaming AllSAT, one axiom at a time: the visitor returning false
+    // stops the solver at the first accepted witness instead of
+    // materializing the whole violating space. Each axiom first PROBES
+    // through the worker's live assumption-based session for it (no
+    // per-candidate encoding; candidates of one structure share a solver
+    // and its learned clauses). A probe acceptance only proves existence —
+    // the live solver's model order depends on the candidates before it —
+    // so accepted candidates (the rare case) REPLAY through a one-program
+    // encoding on a clean solver, whose witness and execution count depend
+    // on the program alone. Rejected candidates enumerate the same
+    // violating set either way, so the probe's execution count stands.
+    for (std::size_t a = 0; a < run->axioms.size() && !stopped(); ++a) {
+        const RunAxiom& axiom = run->axioms[a];
+        if ((open & axiom.bit) == 0) {
+            continue;
+        }
+        SatSession& session = scratch->sat[a];
+        auto sat_search = [&]() {
+            // Allocations of the encode/solve machinery land in kSatEncode
+            // (the time split between encode and solve comes from the
+            // solver's gated clock; the alloc split is not worth a second
+            // seam). evaluate()'s ScopedPhase sections re-tag their own
+            // allocations.
+            const obs::ScopedAllocPhase alloc_phase(obs::Phase::kSatEncode);
+            if (scratch->fault_plan != nullptr) {
+                scratch->fault_plan->maybe_fire(util::FaultSite::kSatSolve,
+                                                scratch->fault_key,
+                                                scratch->fault_attempt);
+            }
+            walked = 0;
+            wanted = axiom.bit;
+            bool accepted = false;
+            session.incremental.enumerate(program,
+                                          [&](const Execution& execution) {
+                accepted = evaluate(execution) != 0;
+                return !accepted && !stopped();
+            });
+            if (accepted && !stopped()) {
+                // The replay recounts from scratch. It re-derives and
+                // re-judges the executions the probe already visited:
+                // derive/judge phase totals honestly include that
+                // duplicated work.
+                walked = 0;
+                mtm::ProgramEncoding encoding(program, &model,
+                                              &scratch->replay);
+                encoding.enumerate(axiom.name,
+                                   [&](const Execution& execution) {
+                    if (evaluate(execution) != 0) {
+                        close(axiom.bit, &execution);
+                    }
+                    return wanted != 0 && !stopped();
+                });
+                // The query reset the solver first: its live counters are
+                // this replay's.
+                session.replay_stats.merge(scratch->replay.solver.stats());
+            }
+            close(wanted, nullptr);
+        };
+        if (metrics == nullptr) {
+            sat_search();
+            continue;
+        }
+        // Same search, with phase attribution. kSatSolve comes from the
+        // solvers' own gated clocks (set_timing) — the live session's
+        // solvers plus the replay solver — and kSatEncode is the remaining
+        // wall time of the probe+replay pair after subtracting solve time
+        // and the derive/judge time evaluate() already claimed — so the
+        // phases never double-count.
+        auto solve_nanos = [&]() {
+            return scratch->replay.solver.lifetime_stats().solve_nanos +
+                   session.incremental.lifetime_stats().solve_nanos;
+        };
+        const auto inner_nanos = [&]() {
+            return metrics->worker_phase_nanos(worker, obs::Phase::kDerive) +
+                   metrics->worker_phase_nanos(worker, obs::Phase::kJudge) +
+                   metrics->worker_phase_nanos(worker, obs::Phase::kRelax);
+        };
+        const std::uint64_t start = obs::now_nanos();
+        const std::uint64_t inner_before = inner_nanos();
+        const std::uint64_t solve_before = solve_nanos();
+        sat_search();
+        const std::uint64_t wall = obs::now_nanos() - start;
+        const std::uint64_t solve = solve_nanos() - solve_before;
+        const std::uint64_t inner = inner_nanos() - inner_before;
+        metrics->add(worker, obs::Phase::kSatSolve, solve);
+        metrics->add(worker, obs::Phase::kSatEncode,
+                     wall > solve + inner ? wall - solve - inner : 0);
+    }
+}
 
 /// Runs the actual search of one shard and splices its results into the
 /// run. Candidates are numbered base + position (skipped candidates were
@@ -469,10 +605,9 @@ struct SuiteRun {
 /// makes the search abandonable: it stops after `limit` candidates and the
 /// returned stop tells the caller where the unsearched remainder begins.
 ShardSearchStop
-search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
+search_shard(SearchRun* run, const ShardTask& task, std::uint64_t limit,
              int worker, CheckpointJournal::ShardRecord* record_out)
 {
-    const mtm::Model& model = run->model;
     WorkerScratch& scratch = run->worker_scratch[worker];
     obs::MetricsRegistry* metrics = run->metrics.get();
     scratch.judge.metrics = metrics;
@@ -481,17 +616,16 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
     scratch.fault_attempt = task.attempt;
     const SynthesisOptions& options = run->options;
     const util::Deadline& deadline = run->armed_deadline();
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> tests;
-    std::uint64_t programs = 0;
-    std::uint64_t executions = 0;
-    std::uint64_t duplicates = 0;
+    std::vector<CheckpointJournal::JournaledTest> tests;
+    std::vector<AxiomTally> tally(run->axioms.size());
     bool timed_out = false;
     bool cancelled = false;
     std::uint64_t next_ticket = task.ticket_base;
-    // Skipped candidates never reach the visitor below, so the skip
-    // replay polls the deadline (and the cancel token) through the
-    // interrupt hook — otherwise a resumed boundary child would replay its
-    // whole (compounding) skip prefix after the budget expired.
+    // Stretches of the enumeration that reach no visitor — the skip
+    // replay, structures that never link or never pass their VA
+    // constraints — poll the deadline (and the cancel token) through the
+    // interrupt hook, so a budget or a cancel is honoured even while
+    // nothing is emitted.
     const std::function<bool()> deadline_interrupt = [&] {
         if (deadline.expired()) {
             timed_out = true;
@@ -520,13 +654,24 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
                      << "unsplittable shard); rerun with --shard-depth N "
                      << "(fixed sharding) or a larger bound split");
         }
-        ++programs;
+        const mtm::AxiomMask open = run->open_axioms(program);
+        if (open == 0) {
+            return true;  // no axiom of the run needs this candidate
+        }
+        const auto for_open = [&](auto&& step) {
+            for (std::size_t a = 0; a < run->axioms.size(); ++a) {
+                if ((open & run->axioms[a].bit) != 0) {
+                    step(tally[a]);
+                }
+            }
+        };
+        for_open([](AxiomTally& t) { ++t.programs; });
         std::string key;
         if (options.dedup) {
             // Claim the key. Only the holder of the minimum ticket
-            // evaluates: any earlier candidate with this key is isomorphic
-            // and receives the same verdict, so its owner's result (or
-            // rejection) stands for ours.
+            // evaluates: any earlier candidate with this key is isomorphic,
+            // has the same open axioms, and receives the same verdicts, so
+            // its owner's results (or rejections) stand for ours.
             {
                 const obs::ScopedPhase phase(metrics, worker,
                                              obs::Phase::kCanonicalize);
@@ -541,38 +686,34 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
                 is_min = run->index.record(key, ticket).is_min;
             }
             if (!is_min) {
-                ++duplicates;
+                for_open([](AxiomTally& t) { ++t.duplicates; });
                 return true;
             }
         }
-        Execution witness = Execution::empty_for(program);
-        std::vector<std::string> violated;
         scratch.fault_key = ticket;
-        const bool accepted =
-            find_witness(model, run->axiom, run->axiom_index, options,
-                         program, deadline, &scratch, metrics, worker,
-                         &witness, &violated, &executions, &timed_out,
-                         &cancelled);
+        find_witnesses(run, program, open, deadline, &scratch, worker,
+                       &tally, &timed_out, &cancelled);
         if (timed_out || cancelled) {
             return false;
         }
-        if (accepted) {
+        if (!scratch.found.empty()) {
             const obs::ScopedAllocSite site(
                 obs::AllocSite::kSiteSuiteGrowth);
-            SynthesizedTest test;
-            test.witness = witness;
-            test.canonical_key =
-                options.dedup ? key : canonical_key(program,
-                                                    &scratch.canonical);
-            test.size = program.num_events();
-            test.violated = violated;
-            tests.emplace_back(std::move(test), ticket);
+            if (!options.dedup) {
+                key = canonical_key(program, &scratch.canonical);
+            }
+            for (Witness& found : scratch.found) {
+                SynthesizedTest test;
+                test.witness = std::move(found.execution);
+                test.canonical_key = key;
+                test.size = program.num_events();
+                test.violated = run->model.mask_names(found.violated);
+                tests.push_back({found.axiom, std::move(test), ticket});
+            }
         }
         return true;
     }, deadline_interrupt);
-    run->programs.fetch_add(programs, std::memory_order_relaxed);
-    run->executions.fetch_add(executions, std::memory_order_relaxed);
-    run->duplicates.fetch_add(duplicates, std::memory_order_relaxed);
+    run->candidates.fetch_add(stop.visited, std::memory_order_relaxed);
     if (stop.skipped > 0) {
         // The candidates enumerated past on resume are this design's only
         // repeated work; recorded as measured (a deadline abort can stop
@@ -590,29 +731,19 @@ search_shard(SuiteRun* run, const ShardTask& task, std::uint64_t limit,
         // The task completed its pass (drained or split cleanly): journal
         // its counters and tests. An aborted pass is never journaled — the
         // resumed run re-searches it.
-        record_out->programs = programs;
-        record_out->executions = executions;
-        record_out->duplicates = duplicates;
+        record_out->counts = tally;
         record_out->tests = tests;
     }
-    if (!tests.empty()) {
-        run->tests_found.fetch_add(tests.size(),
-                                   std::memory_order_relaxed);
-        const obs::ScopedAllocSite site(obs::AllocSite::kSiteSuiteGrowth);
-        std::lock_guard<std::mutex> lock(run->mu);
-        for (auto& entry : tests) {
-            run->merged.push_back(std::move(entry));
-        }
-    }
+    run->absorb(tally, std::move(tests));
     return stop;
 }
 
 /// Human-readable identity of a shard task for a quarantine record.
 std::string
-describe_task(const SuiteRun& run, const ShardTask& task)
+describe_task(const SearchRun& run, const ShardTask& task)
 {
     std::ostringstream out;
-    out << run.axiom << " events=" << task.shard.options.num_events
+    out << run.label << " events=" << task.shard.options.num_events
         << " prefix=[";
     for (std::size_t i = 0; i < task.shard.prefix.size(); ++i) {
         out << (i == 0 ? "" : ",") << task.shard.prefix[i];
@@ -621,32 +752,43 @@ describe_task(const SuiteRun& run, const ShardTask& task)
     return out.str();
 }
 
+/// Configures \p scratch's SAT sessions for \p run, one per axiom; the
+/// model pointer must be the run's own copy, which outlives every job. The
+/// domain bounds cover every candidate the skeleton enumerator can
+/// produce (VAs < max_vas; PAs < initial frames + fresh Wpte targets).
+/// Also rebuilds a session's state on recovery from a shard fault.
+void
+configure_sessions(const SearchRun& run, WorkerScratch* scratch)
+{
+    const SynthesisOptions& options = run.options;
+    for (std::size_t a = 0; a < scratch->sat.size(); ++a) {
+        scratch->sat[a].incremental.configure(
+            &run.model, run.axioms[a].name, options.max_vas,
+            options.max_vas + options.max_fresh_pas);
+    }
+}
+
 /// Contains a shard fault (docs/robustness.md, "Fault containment"): the
 /// job's search escaped with an exception. Rebuilds the worker's possibly
 /// poisoned solver state, then retries the identical task with the attempt
-/// counter bumped — or quarantines it into SuiteResult::failures once the
-/// retry budget is spent. Safe to re-run the task: the throw left no
+/// counter bumped — or quarantines it into the failures of the run once
+/// the retry budget is spent. Safe to re-run the task: the throw left no
 /// partial results (tests and counters flush only when a search pass
 /// completes), and the dedup index records the aborted pass made are
 /// idempotent under the retry's equal tickets, so a retried shard's
 /// contribution is byte-identical to a fault-free run's.
 void
-recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+recover_and_reschedule(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                        const ShardTask& task, int worker, const char* what)
 {
     const SynthesisOptions& options = raw->options;
     WorkerScratch& scratch = raw->worker_scratch[worker];
-    // The replay solver may be mid-encoding and the incremental session
-    // mid-enumeration; reset both so the worker's next job starts clean.
+    // The replay solver may be mid-encoding and the incremental sessions
+    // mid-enumeration; reset them so the worker's next job starts clean.
     // configure() keeps session configuration (timing, conflict budget,
     // interrupt, cache capacity) and rebuilds the solver state.
-    scratch.encoding.solver.reset();
-    if (options.backend == Backend::kSat) {
-        scratch.incremental.configure(&raw->model, raw->axiom,
-                                      options.max_vas,
-                                      options.max_vas +
-                                          options.max_fresh_pas);
-    }
+    scratch.replay.solver.reset();
+    configure_sessions(*raw, &scratch);
     obs::TraceCollector* trace = options.trace;
     if (options.cancel.requested()) {
         raw->cancelled.store(true, std::memory_order_relaxed);
@@ -655,7 +797,7 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     } else if (task.attempt < options.shard_retry_limit) {
         raw->shard_retries.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr) {
-            trace->record_instant(worker, "shard retry: " + raw->axiom,
+            trace->record_instant(worker, "shard retry: " + raw->label,
                                   obs::now_nanos());
         }
         ShardTask retry = task;
@@ -667,7 +809,7 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
         raw->shards_quarantined.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr) {
             trace->record_instant(worker,
-                                  "shard quarantine: " + raw->axiom,
+                                  "shard quarantine: " + raw->label,
                                   obs::now_nanos());
         }
         std::lock_guard<std::mutex> lock(raw->mu);
@@ -688,26 +830,16 @@ recover_and_reschedule(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
 /// rejection. (Counters like dedup_hits can differ in such mixed runs —
 /// they are diagnostics; at jobs=1 full replays reproduce them exactly.)
 void
-replay_shard_record(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+replay_shard_record(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                     const ShardTask& task,
                     const CheckpointJournal::ShardRecord& rec,
                     std::uint64_t* visited_out, bool* resplit_out)
 {
     raw->armed_deadline();
-    raw->programs.fetch_add(rec.programs, std::memory_order_relaxed);
-    raw->executions.fetch_add(rec.executions, std::memory_order_relaxed);
-    raw->duplicates.fetch_add(rec.duplicates, std::memory_order_relaxed);
-    for (const auto& [test, ticket] : rec.tests) {
-        raw->index.record(test.canonical_key, ticket);
+    for (const CheckpointJournal::JournaledTest& entry : rec.tests) {
+        raw->index.record(entry.test.canonical_key, entry.ticket);
     }
-    if (!rec.tests.empty()) {
-        raw->tests_found.fetch_add(rec.tests.size(),
-                                   std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(raw->mu);
-        for (const auto& entry : rec.tests) {
-            raw->merged.push_back(entry);
-        }
-    }
+    raw->absorb(rec.counts, rec.tests);
     raw->ckpt_replayed.fetch_add(1, std::memory_order_relaxed);
     if (visited_out != nullptr) {
         *visited_out = rec.visited;
@@ -754,14 +886,14 @@ replay_shard_record(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
 /// observability shell (span + phase accounting), which reads \p
 /// visited_out / \p resplit_out for span args; both may be null.
 void
-execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
+execute_shard_task(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                    const ShardTask& task, int worker,
                    std::uint64_t* visited_out, bool* resplit_out)
 {
     const SynthesisOptions& options = raw->options;
     if (options.cancel.requested()) {
         // A cancelled run drains its remaining queue without searching —
-        // and without arming the deadline or the search clock, so a suite
+        // and without arming the deadline or the search clock, so a search
         // cancelled before its first real job reports ~0 searched seconds
         // rather than its queue wait.
         raw->cancelled.store(true, std::memory_order_relaxed);
@@ -770,11 +902,13 @@ execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     CheckpointJournal* journal = raw->journal;
     std::uint64_t task_id = 0;
     if (journal != nullptr) {
-        task_id = checkpoint_task_id(raw->axiom, task.shard,
+        task_id = checkpoint_task_id(raw->names, task.shard,
                                      task.ticket_base, task.ticket_stride,
                                      task.skip);
-        if (const CheckpointJournal::ShardRecord* rec =
-                journal->find(task_id)) {
+        // A record counting another number of axioms cannot be this
+        // task's (the id hashes the run's axioms); search it instead.
+        const CheckpointJournal::ShardRecord* rec = journal->find(task_id);
+        if (rec != nullptr && rec->counts.size() == raw->axioms.size()) {
             replay_shard_record(raw, pool_ptr, task, *rec, visited_out,
                                 resplit_out);
             return;
@@ -782,9 +916,8 @@ execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     }
     // Lazy adaptive re-splitting: the job starts searching
     // immediately, with a visit limit armed whenever the shard
-    // could be split (no separate count_skeletons probe — the old
-    // eager probe enumerated every leaf's candidates twice). The
-    // limit is the cost-model threshold — refined by the suite's
+    // could be split. The
+    // limit is the cost-model threshold — refined by the run's
     // observed-cost EWMA once the bound has observations — and the
     // split is viable only while the remaining ticket range still
     // subdivides cleanly.
@@ -934,30 +1067,46 @@ execute_shard_task(SuiteRun* raw, sched::WorkStealingPool* pool_ptr,
     raw->note_job_finished();
 }
 
-/// Builds a SuiteRun for \p axiom_name and submits its initial shard tasks
-/// to \p pool as one job group. The caller must pool.wait(run->group) and
-/// then finish_suite().
-std::unique_ptr<SuiteRun>
-launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
-             const std::string& axiom_name, const SynthesisOptions& options)
+/// The skeleton options of a run's candidate stream at event bound \p
+/// size: a require_* prune holds only when every axiom of the run needs
+/// it, so the stream is the union of the axioms' pruned streams.
+SkeletonOptions
+run_skeleton_options(const SearchRun& run, int size)
 {
-    TF_ASSERT(model.axiom(axiom_name) != nullptr);
-    auto run = std::make_unique<SuiteRun>(model, axiom_name, options);
-    run->axiom_index = run->model.axiom_index(axiom_name);
+    SkeletonOptions skeleton = engine_skeleton_options(
+        run.model, run.axioms.front().name, run.options, size);
+    for (const RunAxiom& axiom : run.axioms) {
+        skeleton.require_wpte =
+            skeleton.require_wpte && axiom.requirements.require_wpte;
+        skeleton.require_rmw =
+            skeleton.require_rmw && axiom.requirements.require_rmw;
+        skeleton.require_shared_walk =
+            skeleton.require_shared_walk &&
+            axiom.requirements.require_shared_walk;
+    }
+    return skeleton;
+}
+
+/// Builds a SearchRun for \p axiom_names (model order) and submits its
+/// initial shard tasks to \p pool as one job group. The caller must
+/// pool.wait(run->group) and then finish_search().
+std::unique_ptr<SearchRun>
+launch_search(sched::WorkStealingPool& pool, const mtm::Model& model,
+              const std::vector<std::string>& axiom_names,
+              const SynthesisOptions& options)
+{
+    auto run = std::make_unique<SearchRun>(model, axiom_names, options);
     run->worker_scratch.resize(pool.workers());
     if (options.backend == Backend::kSat) {
-        // One live incremental session per worker for the whole suite; the
-        // model pointer must be the run's own copy, which outlives every
-        // job. The domain bounds cover every candidate the skeleton
-        // enumerator can produce (VAs < max_vas; PAs < initial frames +
-        // fresh Wpte targets).
+        // One live incremental session per worker per axiom for the whole
+        // run.
         for (WorkerScratch& scratch : run->worker_scratch) {
-            scratch.incremental.configure(&run->model, axiom_name,
-                                          options.max_vas,
-                                          options.max_vas +
-                                              options.max_fresh_pas);
-            scratch.incremental.set_base_cache_capacity(
-                options.sat_base_cache_capacity);
+            scratch.sat.resize(run->axioms.size());
+            configure_sessions(*run, &scratch);
+            for (SatSession& session : scratch.sat) {
+                session.incremental.set_base_cache_capacity(
+                    options.sat_base_cache_capacity);
+            }
         }
     }
     if (options.collect_metrics) {
@@ -966,18 +1115,20 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
         // worker solver, before any job runs, surviving per-program resets.
         // The solve observer rides the same gated clock reads: every
         // individual solve call lands one latency sample in the worker's
-        // kSatSolve histogram (the find_witness subtract path keeps
+        // kSatSolve histogram (the find_witnesses subtract path keeps
         // attributing the *totals*).
         obs::MetricsRegistry* metrics = run->metrics.get();
         for (int w = 0; w < pool.workers(); ++w) {
-            WorkerScratch& scratch = run->worker_scratch[w];
-            scratch.encoding.solver.set_timing(true);
-            scratch.incremental.set_timing(true);
             const auto observe = [metrics, w](std::uint64_t nanos) {
                 metrics->record_latency(w, obs::Phase::kSatSolve, nanos);
             };
-            scratch.encoding.solver.set_solve_observer(observe);
-            scratch.incremental.set_solve_observer(observe);
+            WorkerScratch& scratch = run->worker_scratch[w];
+            scratch.replay.solver.set_timing(true);
+            scratch.replay.solver.set_solve_observer(observe);
+            for (SatSession& session : scratch.sat) {
+                session.incremental.set_timing(true);
+                session.incremental.set_solve_observer(observe);
+            }
         }
     }
     if (options.track_allocs) {
@@ -985,31 +1136,37 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     }
     run->journal = options.checkpoint;
     run->group = pool.make_group();
-    SuiteRun* raw = run.get();
+    SearchRun* raw = run.get();
     sched::WorkStealingPool* pool_ptr = &pool;
-    if (options.sat_conflict_budget > 0) {
-        // Per-solve conflict cap on every per-worker solver (replay
-        // solver and incremental session). Exhaustion raises
-        // BudgetExhausted out of the search, which the fault-containment
-        // boundary treats like any other shard fault.
-        for (WorkerScratch& scratch : run->worker_scratch) {
-            scratch.encoding.solver.set_conflict_budget(
-                options.sat_conflict_budget);
-            scratch.incremental.set_conflict_budget(
+    // Per-solve conflict cap on every per-worker solver (replay solvers
+    // and incremental sessions). Exhaustion raises BudgetExhausted out of
+    // the search, which the fault-containment boundary treats like any
+    // other shard fault.
+    // Solver-level interrupt: a long single solve polls cancellation and
+    // the deadline every ~1k conflicts, bounding cancel latency even
+    // mid-solve. Reading raw->deadline here is safe — every job arms it
+    // (call_once) before its first solve runs.
+    const bool interruptible =
+        options.cancel.valid() || options.time_budget_seconds > 0;
+    const auto poll = [raw] {
+        return raw->options.cancel.requested() || raw->deadline.expired();
+    };
+    for (WorkerScratch& scratch : run->worker_scratch) {
+        if (options.sat_conflict_budget > 0) {
+            scratch.replay.solver.set_conflict_budget(
                 options.sat_conflict_budget);
         }
-    }
-    if (options.cancel.valid() || options.time_budget_seconds > 0) {
-        // Solver-level interrupt: a long single solve polls cancellation
-        // and the deadline every ~1k conflicts, bounding cancel latency
-        // even mid-solve. Reading raw->deadline here is safe — every job
-        // arms it (call_once) before its first solve runs.
-        const auto poll = [raw] {
-            return raw->options.cancel.requested() || raw->deadline.expired();
-        };
-        for (WorkerScratch& scratch : run->worker_scratch) {
-            scratch.encoding.solver.set_interrupt(poll);
-            scratch.incremental.set_interrupt(poll);
+        if (interruptible) {
+            scratch.replay.solver.set_interrupt(poll);
+        }
+        for (SatSession& session : scratch.sat) {
+            if (options.sat_conflict_budget > 0) {
+                session.incremental.set_conflict_budget(
+                    options.sat_conflict_budget);
+            }
+            if (interruptible) {
+                session.incremental.set_interrupt(poll);
+            }
         }
     }
 
@@ -1058,7 +1215,7 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
                 }
                 if (trace != nullptr) {
                     trace->record_complete(
-                        worker, "shard " + raw->axiom, start, end,
+                        worker, "shard " + raw->label, start, end,
                         {{"events",
                           static_cast<std::uint64_t>(
                               task.shard.options.num_events)},
@@ -1076,14 +1233,13 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
 
     // Partition the search space by (event bound, skeleton prefix):
     // adaptive mode starts from the coarse depth-1 split, fixed mode goes
-    // straight to the requested depth.
+    // straight to the requested depth. Tickets number the run's one
+    // candidate stream.
     std::vector<sched::WorkStealingPool::Job> jobs;
     std::uint64_t shard_index = 0;
     for (int size = options.min_bound; size <= options.bound; ++size) {
-        const SkeletonOptions skeleton =
-            engine_skeleton_options(run->model, axiom_name, options, size);
         const std::vector<SkeletonShard> shards =
-            partition_skeletons_at_depth(skeleton,
+            partition_skeletons_at_depth(run_skeleton_options(*run, size),
                                          std::max(options.shard_depth, 1));
         for (const SkeletonShard& shard : shards) {
             jobs.push_back(run->make_job(
@@ -1096,63 +1252,74 @@ launch_suite(sched::WorkStealingPool& pool, const mtm::Model& model,
     return run;
 }
 
-/// Merges a completed SuiteRun (its group must have been waited) into the
-/// final SuiteResult. All workers have recorded all their candidates, so
-/// the per-key minimum ticket is now a pure function of the options;
-/// keeping exactly the test whose ticket equals it resolves every
-/// cross-shard race toward the sequential-enumeration-order winner.
-SuiteResult
-finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
+/// Merges a completed SearchRun (its group must have been waited) into one
+/// SuiteResult per axiom, in run order. All workers have recorded all
+/// their candidates, so the per-key minimum ticket is now a pure function
+/// of the options; keeping exactly the test whose ticket equals it
+/// resolves every cross-shard race toward the sequential-enumeration-order
+/// winner. Counters of the whole run — scheduler, phases, allocations,
+/// quarantined shards — are measured once and land on the first suite
+/// (zeros on the others), so sums over the suites stay exact.
+std::vector<SuiteResult>
+finish_search(sched::WorkStealingPool& pool, SearchRun& run)
 {
-    SuiteResult result;
-    result.axiom = run.axiom;
-    result.programs_considered = run.programs.load();
-    result.executions_considered = run.executions.load();
-    result.duplicates_rejected = run.duplicates.load();
-
-    std::vector<std::pair<SynthesizedTest, std::uint64_t>> kept;
-    kept.reserve(run.merged.size());
-    for (auto& [test, ticket] : run.merged) {
+    std::vector<SuiteResult> results(run.axioms.size());
+    std::sort(run.merged.begin(), run.merged.end(),
+              [](const auto& a, const auto& b) {
+                  return std::tie(a.axiom, a.test.canonical_key, a.ticket) <
+                         std::tie(b.axiom, b.test.canonical_key, b.ticket);
+              });
+    for (CheckpointJournal::JournaledTest& entry : run.merged) {
         if (!run.options.dedup ||
-            run.index.min_ticket(test.canonical_key) == ticket) {
-            kept.emplace_back(std::move(test), ticket);
+            run.index.min_ticket(entry.test.canonical_key) == entry.ticket) {
+            results[entry.axiom].tests.push_back(std::move(entry.test));
         }
     }
-    std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
-        return std::tie(a.first.canonical_key, a.second) <
-               std::tie(b.first.canonical_key, b.second);
-    });
-    result.tests.reserve(kept.size());
-    for (auto& [test, ticket] : kept) {
-        result.tests.push_back(std::move(test));
+    const bool cancelled = run.cancelled.load();
+    const bool complete =
+        !run.timed_out.load() && !cancelled && run.failures.empty();
+    for (std::size_t a = 0; a < results.size(); ++a) {
+        SuiteResult& result = results[a];
+        result.axiom = run.axioms[a].name;
+        result.programs_considered = run.tallies[a].programs;
+        result.executions_considered = run.tallies[a].executions;
+        result.duplicates_rejected = run.tallies[a].duplicates;
+        // Per-suite solver totals: each axiom has its own sessions and
+        // replay counters, so summing them attributes exactly this
+        // suite's solver work (session-level, so cached bases' solvers
+        // and base build/reuse counts are included). All-zero under the
+        // enumerative backend.
+        for (const WorkerScratch& scratch : run.worker_scratch) {
+            if (a < scratch.sat.size()) {
+                result.solver.merge(scratch.sat[a].replay_stats);
+                result.solver.merge(
+                    scratch.sat[a].incremental.lifetime_stats());
+            }
+        }
+        // Arm-to-last-job wall time of the search every suite shared (the
+        // watch restarted when the deadline armed, and every job recorded
+        // its completion). Zero for a run that ran no jobs — including one
+        // cancelled before its first job searched.
+        result.seconds = run.search_seconds.load();
+        result.cancelled = cancelled;
+        result.complete = complete;
     }
-
-    // Per-suite solver totals (satellite of the observability layer): the
-    // suite's solvers live in its private worker_scratch, so summing their
-    // lifetime counters — reset() folds live counters into a retired
-    // accumulator — attributes exactly this suite's solver work. All-zero
-    // under the enumerative backend.
-    for (const WorkerScratch& scratch : run.worker_scratch) {
-        result.solver.merge(scratch.encoding.solver.lifetime_stats());
-        // The incremental sessions (all-zero under the enumerative
-        // backend); session-level, so cached bases' solvers and base
-        // build/reuse counts are included.
-        result.solver.merge(scratch.incremental.lifetime_stats());
-    }
+    SuiteResult& first = results.front();
+    first.failures = std::move(run.failures);  // group drained: no races
     if (run.metrics != nullptr) {
         // Safe single-threaded write into lane 0: every worker quiesced
-        // when the group was waited, before finish_suite ran.
+        // when the group was waited, before finish_search ran.
         run.metrics->add(0, obs::Phase::kQueueWait,
                          static_cast<std::uint64_t>(
                              run.queue_wait_seconds.load() * 1e9));
-        result.phases = run.metrics->merged();
+        first.phases = run.metrics->merged();
     }
     if (run.allocs != nullptr) {
-        result.allocs = run.allocs->merged();
+        first.allocs = run.allocs->merged();
     }
     obs::TraceCollector* trace = run.options.trace;
     if (trace != nullptr) {
-        // Counter-track summary of the suite (one "C" event per series,
+        // Counter-track summary of the run (one "C" event per series,
         // main lane): per-phase latency percentiles (µs — Perfetto counter
         // values read better in micros) for phases with samples, and the
         // observed-cost threshold range when any job armed one.
@@ -1160,13 +1327,13 @@ finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
         if (run.metrics != nullptr) {
             for (int p = 0; p < obs::kPhaseCount; ++p) {
                 const obs::LatencyHistogram& hist =
-                    result.phases.latency[static_cast<std::size_t>(p)];
+                    first.phases.latency[static_cast<std::size_t>(p)];
                 if (hist.total() == 0) {
                     continue;
                 }
                 trace->record_counter(
                     trace->main_lane(),
-                    std::string("latency_us ") + run.axiom + " " +
+                    std::string("latency_us ") + run.label + " " +
                         obs::phase_name(static_cast<obs::Phase>(p)),
                     ts,
                     {{"p50", hist.percentile_nanos(0.5) / 1000},
@@ -1176,35 +1343,30 @@ finish_suite(sched::WorkStealingPool& pool, SuiteRun& run)
         }
         if (run.threshold_max.load() > 0) {
             trace->record_counter(
-                trace->main_lane(), "resplit_threshold " + run.axiom, ts,
+                trace->main_lane(), "resplit_threshold " + run.label, ts,
                 {{"min", run.threshold_min.load()},
                  {"max", run.threshold_max.load()},
                  {"observed", run.observed_resplits.load()}});
         }
     }
-    result.scheduler = pool.group_stats(run.group);
-    result.scheduler.observed_cost_resplits = run.observed_resplits.load();
-    result.scheduler.resplit_threshold_min = run.threshold_min.load();
-    result.scheduler.resplit_threshold_max = run.threshold_max.load();
-    result.scheduler.lazy_resplits = run.lazy_resplits.load();
-    result.scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
-    result.scheduler.skip_enumerations = run.skip_enumerations.load();
-    result.scheduler.dedup_hits = run.index.hits();
-    result.scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
-    result.scheduler.shard_retries = run.shard_retries.load();
-    result.scheduler.shards_quarantined = run.shards_quarantined.load();
-    result.scheduler.checkpoint_shards_saved = run.ckpt_saved.load();
-    result.scheduler.checkpoint_shards_replayed = run.ckpt_replayed.load();
-    // Arm-to-last-job wall time (the watch restarted when the deadline
-    // armed, and every job recorded its completion); the queue wait is
-    // reported separately above. Zero for a suite that ran no jobs —
-    // including one cancelled before its first job searched.
-    result.seconds = run.search_seconds.load();
-    result.cancelled = run.cancelled.load();
-    result.failures = std::move(run.failures);  // group drained: no races
-    result.complete = !run.timed_out.load() && !result.cancelled &&
-                      result.failures.empty();
-    return result;
+    sched::SchedulerStats& scheduler = first.scheduler;
+    scheduler = pool.group_stats(run.group);
+    scheduler.observed_cost_resplits = run.observed_resplits.load();
+    scheduler.resplit_threshold_min = run.threshold_min.load();
+    scheduler.resplit_threshold_max = run.threshold_max.load();
+    scheduler.lazy_resplits = run.lazy_resplits.load();
+    scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
+    scheduler.skip_enumerations = run.skip_enumerations.load();
+    scheduler.dedup_hits = run.index.hits();
+    scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
+    scheduler.shard_retries = run.shard_retries.load();
+    scheduler.shards_quarantined = run.shards_quarantined.load();
+    scheduler.checkpoint_shards_saved = run.ckpt_saved.load();
+    scheduler.checkpoint_shards_replayed = run.ckpt_replayed.load();
+    for (std::size_t a = 1; a < results.size(); ++a) {
+        results[a].scheduler.workers = scheduler.workers;
+    }
+    return results;
 }
 
 /// The sampling thread behind SynthesisOptions::progress: wakes every
@@ -1278,48 +1440,64 @@ class ProgressHeartbeat {
 
 }  // namespace
 
-SuiteResult
-synthesize_suite(const mtm::Model& model, const std::string& axiom_name,
-                 const SynthesisOptions& options)
+namespace {
+
+/// Runs one fused search over \p axiom_names on a private pool of
+/// options.jobs workers and returns their suites in that order.
+std::vector<SuiteResult>
+run_search(const mtm::Model& model,
+           const std::vector<std::string>& axiom_names,
+           const SynthesisOptions& options)
 {
     sched::WorkStealingPool pool(options.jobs);
     pool.set_trace(options.trace);
     obs::TraceCollector* trace = options.trace;
-    const std::uint64_t suite_id =
+    const std::string span = "search " + search_label(axiom_names);
+    const std::uint64_t search_id =
         trace == nullptr ? 0 : trace->next_flow_id();
     if (trace != nullptr) {
-        trace->record_async_begin(trace->main_lane(), "suite " + axiom_name,
-                                  suite_id, obs::now_nanos());
+        trace->record_async_begin(trace->main_lane(), span, search_id,
+                                  obs::now_nanos());
     }
-    const std::unique_ptr<SuiteRun> run =
-        launch_suite(pool, model, axiom_name, options);
-    SuiteRun* raw = run.get();
+    const std::unique_ptr<SearchRun> run =
+        launch_search(pool, model, axiom_names, options);
+    SearchRun* raw = run.get();
     const std::uint64_t t0 = obs::now_nanos();
+    const int suites = static_cast<int>(axiom_names.size());
     std::atomic<int> suites_done{0};  // outlives the heartbeat below
-    ProgressHeartbeat heartbeat(options, [raw, t0, &suites_done] {
+    ProgressHeartbeat heartbeat(options, [raw, t0, suites, &suites_done] {
         SynthesisProgress p;
         p.shards_done = raw->jobs_done.load(std::memory_order_relaxed);
         p.shards_submitted =
             raw->jobs_submitted.load(std::memory_order_relaxed);
-        p.candidates = raw->programs.load(std::memory_order_relaxed);
+        p.candidates = raw->candidates.load(std::memory_order_relaxed);
         p.tests_found = raw->tests_found.load(std::memory_order_relaxed);
         p.checkpoint_shards_saved =
             raw->ckpt_saved.load(std::memory_order_relaxed);
         p.checkpoint_shards_replayed =
             raw->ckpt_replayed.load(std::memory_order_relaxed);
         p.suites_done = suites_done.load(std::memory_order_relaxed);
-        p.suites_total = 1;
+        p.suites_total = suites;
         p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
         return p;
     });
     pool.wait(run->group);
-    suites_done.store(1, std::memory_order_relaxed);
+    suites_done.store(suites, std::memory_order_relaxed);
     heartbeat.stop();
     if (trace != nullptr) {
-        trace->record_async_end(trace->main_lane(), "suite " + axiom_name,
-                                suite_id, obs::now_nanos());
+        trace->record_async_end(trace->main_lane(), span, search_id,
+                                obs::now_nanos());
     }
-    return finish_suite(pool, *run);
+    return finish_search(pool, *run);
+}
+
+}  // namespace
+
+SuiteResult
+synthesize_suite(const mtm::Model& model, const std::string& axiom_name,
+                 const SynthesisOptions& options)
+{
+    return std::move(run_search(model, {axiom_name}, options).front());
 }
 
 std::vector<SuiteResult>
@@ -1336,68 +1514,14 @@ std::vector<SuiteResult>
 synthesize_all_parallel(const mtm::Model& model,
                         const SynthesisOptions& options)
 {
-    // One shared pool; one job group per axiom. Shards of every axiom
-    // interleave on the same options.jobs workers, so the pool stays busy
-    // until the very last suite drains (v1 instead pinned a thread group
-    // per axiom, leaving cores idle once the cheap axioms finished).
-    sched::WorkStealingPool pool(options.jobs);
-    pool.set_trace(options.trace);
-    obs::TraceCollector* trace = options.trace;
-    std::vector<std::unique_ptr<SuiteRun>> runs;
-    std::vector<std::uint64_t> suite_ids;
-    runs.reserve(model.axioms().size());
+    std::vector<std::string> names;
     for (const mtm::Axiom& axiom : model.axioms()) {
-        if (trace != nullptr) {
-            // Async spans ("b"/"e"): suites overlap on the shared pool, so
-            // they cannot be nested complete spans on the main lane.
-            suite_ids.push_back(trace->next_flow_id());
-            trace->record_async_begin(trace->main_lane(),
-                                      "suite " + axiom.name,
-                                      suite_ids.back(), obs::now_nanos());
-        }
-        runs.push_back(launch_suite(pool, model, axiom.name, options));
+        names.push_back(axiom.name);
     }
-    const std::uint64_t t0 = obs::now_nanos();
-    std::atomic<int> suites_done{0};  // outlives the heartbeat below
-    ProgressHeartbeat heartbeat(options, [&runs, t0, &suites_done] {
-        // Aggregate snapshot across every axiom's run: the runs vector is
-        // settled (all launched) before the heartbeat starts, and each
-        // field is a relaxed counter read.
-        SynthesisProgress p;
-        for (const std::unique_ptr<SuiteRun>& run : runs) {
-            p.shards_done +=
-                run->jobs_done.load(std::memory_order_relaxed);
-            p.shards_submitted +=
-                run->jobs_submitted.load(std::memory_order_relaxed);
-            p.candidates += run->programs.load(std::memory_order_relaxed);
-            p.tests_found +=
-                run->tests_found.load(std::memory_order_relaxed);
-            p.checkpoint_shards_saved +=
-                run->ckpt_saved.load(std::memory_order_relaxed);
-            p.checkpoint_shards_replayed +=
-                run->ckpt_replayed.load(std::memory_order_relaxed);
-        }
-        p.suites_done = suites_done.load(std::memory_order_relaxed);
-        p.suites_total = static_cast<int>(runs.size());
-        p.seconds = static_cast<double>(obs::now_nanos() - t0) * 1e-9;
-        return p;
-    });
-    std::vector<SuiteResult> out;
-    out.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        pool.wait(runs[i]->group);
-        suites_done.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr) {
-            trace->record_async_end(trace->main_lane(),
-                                    "suite " + runs[i]->axiom, suite_ids[i],
-                                    obs::now_nanos());
-        }
+    if (names.empty()) {
+        return {};
     }
-    heartbeat.stop();
-    for (const std::unique_ptr<SuiteRun>& run : runs) {
-        out.push_back(finish_suite(pool, *run));
-    }
-    return out;
+    return run_search(model, names, options);
 }
 
 SkeletonOptions

@@ -9,9 +9,11 @@
 /// The search runs on the parallel synthesis runtime (src/sched/, v2): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
 /// shards, one persistent work-stealing pool searches them concurrently
-/// (Chase-Lev deques; `synthesize_all_parallel` submits every axiom's
-/// shards to the same pool as separate job groups), and results are merged
-/// through a sharded canonical-key index. Shard depth is adaptive by
+/// (Chase-Lev deques), and results are merged through a sharded
+/// canonical-key index. `synthesize_all_parallel` is one fused search: it
+/// walks the candidate stream once for every axiom of the model, sharing
+/// the skeleton, canonical key, dedup and (enumerative backend) execution
+/// walk, and splits the results into per-axiom suites. Shard depth is adaptive by
 /// default: the engine starts from a coarse split and any shard job that
 /// visits more candidates than a cost-model threshold abandons its search
 /// lazily — in place, keeping the results already found — and resubmits
@@ -69,7 +71,7 @@ struct SynthesisProgress {
     std::uint64_t tests_found = 0;       ///< pre-merge accepted witnesses
     std::uint64_t checkpoint_shards_saved = 0;
     std::uint64_t checkpoint_shards_replayed = 0;
-    int suites_done = 0;   ///< job groups fully drained
+    int suites_done = 0;   ///< suites whose search has drained
     int suites_total = 0;  ///< suites in this synthesis call
     double seconds = 0.0;  ///< wall time since the synthesis call started
 };
@@ -87,7 +89,9 @@ struct SynthesisOptions {
     bool dirty_bit_as_rmw = false;   ///< section III-A2 ablation
     bool require_minimal = true;     ///< spanning-set minimality pruning
     bool dedup = true;               ///< canonical-program deduplication
-    double time_budget_seconds = 0;  ///< 0 = unlimited (paper used one week)
+    /// Wall-time budget of one search (all axioms of a fused search
+    /// together); 0 = unlimited (the paper used one week).
+    double time_budget_seconds = 0;
     Backend backend = Backend::kEnumerative;
 
     /// SAT backend only: how many structure bases each worker's live
@@ -140,16 +144,17 @@ struct SynthesisOptions {
     ///
     /// When true the run carries a per-worker obs::MetricsRegistry and
     /// attributes candidate-evaluation time to the fixed phase taxonomy
-    /// (SuiteResult::phases); solver wall-timing is enabled on the
-    /// per-worker solvers. Off (default) costs one null check per
-    /// instrumentation point and zero clock reads.
+    /// (the first suite's SuiteResult::phases); solver wall-timing is
+    /// enabled on the per-worker solvers. Off (default) costs one null
+    /// check per instrumentation point and zero clock reads.
     bool collect_metrics = false;
 
-    /// When true the run carries a per-suite obs::AllocTracker and every
+    /// When true the run carries a per-search obs::AllocTracker and every
     /// shard job binds its worker thread to it, so operator-new calls are
     /// attributed to the active phase / call-site bucket
-    /// (SuiteResult::allocs). Off (default) costs one thread-local pointer
-    /// test per allocation (the process-wide proxy counter is always on).
+    /// (the first suite's SuiteResult::allocs). Off (default) costs one
+    /// thread-local pointer test per allocation (the process-wide proxy
+    /// counter is always on).
     bool track_allocs = false;
 
     /// Progress heartbeat: when set, a sampling thread inside the
@@ -203,8 +208,8 @@ struct SynthesisOptions {
 
     /// Crash-safe checkpointing: when non-null, every completed shard task
     /// is journaled and tasks found in the journal (from a previous run of
-    /// the same configuration) are replayed instead of re-searched. Shared
-    /// across suites; must outlive the synthesis call.
+    /// the same configuration) are replayed instead of re-searched. One
+    /// journal serves one search; must outlive the synthesis call.
     CheckpointJournal* checkpoint = nullptr;
 };
 
@@ -212,7 +217,7 @@ struct SynthesisOptions {
 /// the error that quarantined it, surfaced in SuiteResult::failures so a
 /// partial suite is diagnosable rather than silently short.
 struct ShardFailure {
-    std::string shard;   ///< human-readable task identity (axiom + prefix)
+    std::string shard;   ///< human-readable task identity (search + prefix)
     std::string error;   ///< what() of the final attempt's exception
     int attempts = 0;    ///< total attempts made (initial + retries)
 };
@@ -226,60 +231,79 @@ struct SynthesizedTest {
 };
 
 /// A per-axiom suite.
+///
+/// One search can produce several suites (synthesize_all_parallel). The
+/// per-axiom fields are exact for the axiom: programs_considered counts
+/// the candidates the axiom was open on (those meeting its static
+/// requirements), executions_considered the executions walked while it
+/// was open, and both equal a one-axiom search's. The fields marked
+/// run-level are measured once per search and sit on the search's FIRST
+/// suite, zero (workers aside) on the others, so sums over the suites
+/// stay exact.
 struct SuiteResult {
     std::string axiom;
     std::vector<SynthesizedTest> tests;  ///< sorted by canonical key
     std::uint64_t programs_considered = 0;
     std::uint64_t executions_considered = 0;
     std::uint64_t duplicates_rejected = 0;
-    /// Search wall time, measured from when the suite's first shard job ran
-    /// (the moment its time budget armed) — on a shared pool the wait
-    /// behind other suites is excluded and reported as
-    /// scheduler.queue_wait_seconds instead.
+    /// Wall time of the search that produced the suite (shared by every
+    /// suite of one search), measured from when its first shard job ran
+    /// (the moment its time budget armed); the wait before that is
+    /// reported as scheduler.queue_wait_seconds.
     double seconds = 0.0;
     /// False when the suite is partial: the time budget expired, the run
     /// was cancelled, or shards were quarantined after repeated faults.
+    /// Shared by every suite of one search.
     bool complete = false;
-    bool cancelled = false;  ///< the cancel token fired during this suite
-    /// Shards quarantined after exhausting the retry budget (empty on a
-    /// healthy run). Deterministic faults land here; transient ones are
-    /// absorbed by retries and only show up in scheduler.shard_retries.
+    bool cancelled = false;  ///< the cancel token fired during the search
+    /// Run-level: shards quarantined after exhausting the retry budget
+    /// (empty on a healthy run). Deterministic faults land here; transient
+    /// ones are absorbed by retries and only show up in
+    /// scheduler.shard_retries.
     std::vector<ShardFailure> failures;
-    sched::SchedulerStats scheduler;  ///< runtime counters for the search
+    /// Run-level runtime counters for the search (`workers` is filled on
+    /// every suite).
+    sched::SchedulerStats scheduler;
     /// SAT-solver counters summed across every per-worker solver the suite
     /// used (lifetime_stats, so per-program reset() cycles are included).
     /// All-zero under the enumerative backend; solve_nanos is populated
     /// only when SynthesisOptions::collect_metrics enabled solver timing.
     sat::SolverStats solver;
-    /// Phase-attributed time/count breakdown (per-phase latency
+    /// Run-level phase-attributed time/count breakdown (per-phase latency
     /// histograms included); all-zero unless
     /// SynthesisOptions::collect_metrics was set.
     obs::PhaseTotals phases;
-    /// Phase/site-attributed allocation breakdown; all-zero unless
-    /// SynthesisOptions::track_allocs was set.
+    /// Run-level phase/site-attributed allocation breakdown; all-zero
+    /// unless SynthesisOptions::track_allocs was set.
     obs::AllocTotals allocs;
 };
 
 /// Synthesizes the suite of unique, minimal, interesting ELT programs whose
 /// executions can violate \p axiom_name, over all sizes in
-/// [min_bound, bound]. Builds a private options.jobs-worker pool for the
-/// run; the resulting suite is independent of the worker count and the
+/// [min_bound, bound]: a search of the axiom's pruned candidate stream
+/// (engine_skeleton_options). Builds a private options.jobs-worker pool for
+/// the run; the resulting suite is independent of the worker count and the
 /// shard depth (see the determinism contract above). Thread-safe for
 /// concurrent calls with distinct models.
 SuiteResult synthesize_suite(const mtm::Model& model,
                              const std::string& axiom_name,
                              const SynthesisOptions& options);
 
-/// Runs per-axiom synthesis for every axiom of the model and returns the
-/// suites in axiom order (the paper's five per-axiom suites for x86t_elt).
+/// Runs synthesize_suite for every axiom of the model, one after the other,
+/// and returns the suites in axiom order (the paper's five per-axiom
+/// suites for x86t_elt): the per-axiom reference the fused search is
+/// tested against.
 std::vector<SuiteResult> synthesize_all(const mtm::Model& model,
                                         const SynthesisOptions& options);
 
-/// As synthesize_all, but submits every axiom's shards to ONE shared
-/// work-stealing pool of options.jobs workers (one job group per axiom; no
-/// per-axiom thread groups), so late-finishing axioms inherit the workers
-/// of early-finishing ones. Results are identical to the serial driver —
-/// asserted by the test suite — and arrive in the same axiom order.
+/// As synthesize_all, as ONE fused search on one pool of options.jobs
+/// workers: one candidate stream (the union of the axioms' pruned
+/// streams), one dedup index, and on the enumerative backend one
+/// execution walk per candidate for all the axioms open on it. The suites
+/// — tests, witnesses, programs_considered and executions_considered —
+/// are identical to synthesize_all's, asserted by the test suite
+/// (docs/scheduler.md gives the argument), and arrive in axiom order.
+/// options.time_budget_seconds bounds the whole search.
 std::vector<SuiteResult> synthesize_all_parallel(
     const mtm::Model& model, const SynthesisOptions& options);
 
@@ -287,11 +311,13 @@ std::vector<SuiteResult> synthesize_all_parallel(
 /// axioms appear in several suites but count once).
 int unique_test_count(const std::vector<SuiteResult>& suites);
 
-/// The skeleton options the engine searches for \p axiom_name at event
+/// The skeleton options of \p axiom_name's candidate stream at event
 /// bound \p size — synthesis knobs plus the static per-axiom pruning
-/// flags. Exposed so tools and benches replaying parts of the search
-/// (e.g. the eager-probe baseline in bench_parallel_scaling) enumerate
-/// exactly the candidate space the engine does.
+/// flags. A fused search walks the union of its axioms' streams and opens
+/// each axiom on the candidates meeting these flags (meets_requirements),
+/// so replaying this stream reproduces the axiom's suite. Exposed so tools
+/// and benches replaying parts of the search enumerate exactly the
+/// candidate space the engine does.
 SkeletonOptions engine_skeleton_options(const mtm::Model& model,
                                         const std::string& axiom_name,
                                         const SynthesisOptions& options,

@@ -40,6 +40,39 @@ struct Draft {
     std::vector<std::vector<SlotInfo>> threads;
 };
 
+/// The enumerator's interrupt poll (search_skeletons' \p interrupt). A
+/// stretch of the decision tree can run for seconds without emitting a
+/// candidate (structures pruned at linking, VA assignments failing their
+/// constraints), so the hook is polled every kPollInterval ticks of that
+/// work, not only per candidate; once it fires, every stage unwinds as a
+/// visitor stop.
+class Poller {
+  public:
+    explicit Poller(const std::function<bool()>& hook) : hook_(hook) {}
+
+    /// Counts one unit of enumeration work; true once the hook has fired.
+    bool
+    interrupted()
+    {
+        if (fired_) {
+            return true;
+        }
+        if (!hook_ || (++ticks_ & (kPollInterval - 1)) != 0) {
+            return false;
+        }
+        fired_ = hook_();
+        return fired_;
+    }
+
+    bool fired() const { return fired_; }
+
+  private:
+    static constexpr std::uint32_t kPollInterval = 1024;
+    const std::function<bool()>& hook_;
+    std::uint32_t ticks_ = 0;
+    bool fired_ = false;
+};
+
 /// Weight (event count) of a slot.
 int
 weight(Slot s, const SkeletonOptions& opt)
@@ -225,8 +258,9 @@ class Assigner {
   public:
     Assigner(Draft* draft, const SkeletonOptions& opt,
              const std::function<bool(const Program&)>& visit,
-             MaterializePool* pool)
-        : draft_(draft), opt_(opt), visit_(visit), pool_(pool)
+             MaterializePool* pool, Poller* poller)
+        : draft_(draft), opt_(opt), visit_(visit), pool_(pool),
+          poller_(poller)
     {
         for (auto& thread : draft_->threads) {
             for (auto& slot : thread) {
@@ -264,6 +298,9 @@ class Assigner {
     bool
     assign_va(std::size_t index, int used_vas)
     {
+        if (poller_->interrupted()) {
+            return false;
+        }
         if (index == ordered_.size()) {
             return check_va_constraints() ? assign_pa(0, 0) : true;
         }
@@ -454,6 +491,7 @@ class Assigner {
     const SkeletonOptions& opt_;
     const std::function<bool(const Program&)>& visit_;
     MaterializePool* pool_;
+    Poller* poller_;
     std::vector<SlotInfo*> ordered_;
 };
 
@@ -464,8 +502,9 @@ class Linker {
   public:
     Linker(Draft* draft, const SkeletonOptions& opt,
            const std::function<bool(const Program&)>& visit,
-           MaterializePool* pool)
-        : draft_(draft), opt_(opt), visit_(visit), pool_(pool)
+           MaterializePool* pool, Poller* poller)
+        : draft_(draft), opt_(opt), visit_(visit), pool_(pool),
+          poller_(poller)
     {
         int wpte_index = 0;
         for (std::size_t t = 0; t < draft->threads.size(); ++t) {
@@ -503,6 +542,9 @@ class Linker {
     bool
     link(std::size_t w, std::size_t t)
     {
+        if (poller_->interrupted()) {
+            return false;
+        }
         if (w == wptes_.size()) {
             return finish();
         }
@@ -532,7 +574,7 @@ class Linker {
     bool
     finish()
     {
-        Assigner assigner(draft_, opt_, visit_, pool_);
+        Assigner assigner(draft_, opt_, visit_, pool_, poller_);
         return assigner.run();
     }
 
@@ -540,6 +582,7 @@ class Linker {
     const SkeletonOptions& opt_;
     const std::function<bool(const Program&)>& visit_;
     MaterializePool* pool_;
+    Poller* poller_;
     std::vector<Ref> wptes_;
     std::vector<Ref> invlpgs_;
 };
@@ -570,7 +613,7 @@ class SlotEnumerator {
                    const std::function<bool(const Program&)>& visit,
                    const std::function<bool()>& interrupt)
         : opt_(opt), prefix_(std::move(prefix)), skip_(skip), limit_(limit),
-          visit_(visit), interrupt_(interrupt),
+          visit_(visit), poller_(interrupt),
           slots_(available_slots(opt)),
           sink_([this](const Program& p) { return consume(p); })
     {
@@ -583,7 +626,7 @@ class SlotEnumerator {
         enumerate_threads(draft, opt_.num_events);
         ShardSearchStop stop;
         stop.hit_limit = hit_limit_;
-        stop.visitor_stopped = visitor_stopped_;
+        stop.visitor_stopped = visitor_stopped_ || poller_.fired();
         stop.visited = visited_;
         stop.skipped = consumed_ - visited_;
         stop.resume_decision = boundary_decision_;
@@ -602,8 +645,7 @@ class SlotEnumerator {
         if (consumed_ < skip_) {
             // The skip replay never reaches the visitor, so the caller's
             // stop conditions (a deadline, typically) are polled here.
-            if (interrupt_ && interrupt_()) {
-                visitor_stopped_ = true;
+            if (poller_.interrupted()) {
                 return false;
             }
             ++consumed_;
@@ -628,14 +670,20 @@ class SlotEnumerator {
     /// decision point is a single tree node (every shallower decision is
     /// forced by the prefix), so each of its child subtrees is entered
     /// exactly once and resetting the boundary counter here is sound.
-    void
+    /// Returns false, taking no decision, once the interrupt fired: the
+    /// caller unwinds as from a visitor stop.
+    bool
     begin_decision(int decision)
     {
+        if (poller_.interrupted()) {
+            return false;
+        }
         if (depth_ == prefix_.size()) {
             boundary_decision_ = decision;
             boundary_consumed_ = 0;
         }
         ++depth_;
+        return true;
     }
 
     void
@@ -651,7 +699,7 @@ class SlotEnumerator {
             if (opt_.require_shared_walk && !has_possible_hit(draft)) {
                 return true;  // prune: tlb_causality needs a shared entry
             }
-            Linker linker(&draft, opt_, sink_, &pool_);
+            Linker linker(&draft, opt_, sink_, &pool_, &poller_);
             return linker.run();
         }
         if (static_cast<int>(draft.threads.size()) >= opt_.max_threads ||
@@ -681,7 +729,9 @@ class SlotEnumerator {
             if (k < 2 ||
                 slot_signature(draft.threads[k - 2]) >=
                     slot_signature(draft.threads[k - 1])) {
-                begin_decision(kCloseThread);
+                if (!begin_decision(kCloseThread)) {
+                    return false;
+                }
                 const bool keep = enumerate_threads(draft, remaining);
                 end_decision();
                 if (!keep) {
@@ -701,7 +751,9 @@ class SlotEnumerator {
             if (w > remaining) {
                 continue;
             }
-            begin_decision(static_cast<int>(si));
+            if (!begin_decision(static_cast<int>(si))) {
+                return false;
+            }
             draft.threads.back().push_back({s});
             const bool keep =
                 enumerate_slots(draft, remaining - w, used_in_thread + w);
@@ -734,7 +786,7 @@ class SlotEnumerator {
     const std::uint64_t skip_;
     const std::uint64_t limit_;
     const std::function<bool(const Program&)>& visit_;
-    const std::function<bool()>& interrupt_;
+    Poller poller_;
     std::vector<Slot> slots_;
     std::function<bool(const Program&)> sink_;  ///< skip/limit wrapper
     MaterializePool pool_;  ///< candidate Program + placement, reused
@@ -785,6 +837,32 @@ search_skeletons(const SkeletonShard& shard, std::uint64_t skip,
     SlotEnumerator enumerator(shard.options, shard.prefix, skip, limit,
                               visit, interrupt);
     return enumerator.run();
+}
+
+bool
+meets_requirements(const Program& program, const SkeletonOptions& options)
+{
+    if (options.require_rmw && program.rmw_pairs().empty()) {
+        return false;
+    }
+    bool wpte = !options.require_wpte;
+    bool hit = !options.require_shared_walk;
+    for (EventId id = 0; id < program.num_events() && !(wpte && hit); ++id) {
+        const EventKind kind = program.event(id).kind;
+        wpte = wpte || kind == EventKind::kWpte;
+        if (!hit && (kind == EventKind::kRead || kind == EventKind::kWrite)) {
+            // A hit slot materializes as a data access with no Rptw ghost.
+            hit = true;
+            for (EventId g = 0; g < program.num_events(); ++g) {
+                if (program.event(g).kind == EventKind::kRptw &&
+                    program.event(g).parent == id) {
+                    hit = false;
+                    break;
+                }
+            }
+        }
+    }
+    return wpte && hit;
 }
 
 std::vector<SkeletonShard>
@@ -883,17 +961,6 @@ partition_skeletons(const SkeletonOptions& options, int target_shards)
         deepen_once(&shards);
     }
     return shards;
-}
-
-std::uint64_t
-count_skeletons(const SkeletonShard& shard, std::uint64_t limit)
-{
-    std::uint64_t count = 0;
-    for_each_skeleton(shard, [&](const Program&) {
-        ++count;
-        return count < limit;
-    });
-    return count;
 }
 
 }  // namespace transform::synth

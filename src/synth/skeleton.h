@@ -42,6 +42,17 @@ struct SkeletonOptions {
     bool require_shared_walk = false;  ///< tlb_causality needs a TLB hit
 };
 
+/// The require_* prunes as a predicate on one program: true when \p
+/// program has every feature \p options requires (a PTE write, an rmw
+/// pair, a data access that hits the TLB). Filtering the unpruned stream
+/// (every require_* off) by it yields exactly the pruned stream, in order.
+/// Each feature survives renaming threads, VAs and PAs, so the predicate
+/// is constant on every canonical-key class. The engine's fused search
+/// runs one stream for all axioms and opens an axiom on the candidates
+/// that meet its requirements.
+bool meets_requirements(const elt::Program& program,
+                        const SkeletonOptions& options);
+
 /// Invokes \p visit for every valid program skeleton with exactly
 /// `num_events` events. \p visit returns false to stop early; the function
 /// returns false in that case.
@@ -99,11 +110,6 @@ std::vector<SkeletonShard> partition_skeletons_at_depth(
 /// structure, but cannot be subdivided further.
 std::vector<SkeletonShard> split_shard(const SkeletonShard& shard);
 
-/// Counts the programs in \p shard, stopping early at \p limit. The count
-/// is a pure function of the shard (no scheduling dependence).
-std::uint64_t count_skeletons(const SkeletonShard& shard,
-                              std::uint64_t limit);
-
 /// As for_each_skeleton(options, visit), restricted to one shard.
 bool for_each_skeleton(const SkeletonShard& shard,
                        const std::function<bool(const elt::Program&)>& visit);
@@ -138,14 +144,16 @@ struct ShardSearchStop {
 /// reached, reporting a resume point instead of visiting it. Handing the
 /// stop's resume_decision/resume_skip to the matching split_shard children,
 /// in child order, replays exactly the unconsumed remainder of the stream —
-/// the contract lazy in-search re-splitting relies on, and what removed the
-/// eager count_skeletons probe's duplicate enumeration per shard.
+/// the contract lazy in-search re-splitting relies on.
 ///
-/// \p interrupt, when provided, is polled once per *skipped* candidate;
-/// returning true aborts the pass (reported as visitor_stopped). Visited
-/// candidates can stop the pass from \p visit directly, but the skip
-/// replay never reaches the visitor — without the hook a resumed child
-/// could burn through its whole skip prefix after its deadline expired.
+/// \p interrupt, when provided, is polled every 1024 units of enumeration
+/// work: structural decisions, linking and VA-assignment steps, and
+/// skipped candidates. Returning true aborts the pass (reported as
+/// visitor_stopped). Visited candidates can stop the pass from \p visit
+/// directly, but long stretches of the enumeration emit nothing — a skip
+/// replay, or structures that all fail linking or their VA constraints —
+/// and without the hook a deadline or a cancel would wait for the next
+/// emitted candidate.
 ShardSearchStop search_skeletons(
     const SkeletonShard& shard, std::uint64_t skip, std::uint64_t limit,
     const std::function<bool(const elt::Program&)>& visit,

@@ -2,9 +2,13 @@
 /// Tests for the synthesis engine: per-axiom suites at small bounds.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <string>
 
 #include "elt/fixtures.h"
+#include "elt/serialize.h"
+#include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
 #include "synth/minimality.h"
@@ -158,6 +162,123 @@ TEST(Engine, ParallelDriverMatchesSerial)
         EXPECT_EQ(serial_keys, parallel_keys) << serial[i].axiom;
     }
     EXPECT_EQ(unique_test_count(serial), unique_test_count(parallel));
+}
+
+/// Tests, in order, with sizes, violated lists and witnesses.
+std::string
+tests_fingerprint(const SuiteResult& suite)
+{
+    std::string out;
+    for (const SynthesizedTest& test : suite.tests) {
+        out += test.canonical_key + "|" + std::to_string(test.size);
+        for (const std::string& axiom : test.violated) {
+            out += "," + axiom;
+        }
+        out += "|" + elt::execution_to_xml(test.witness, "w") + "\n";
+    }
+    return out;
+}
+
+TEST(FusedSearch, MatchesThePerAxiomWalksOnEveryZooModel)
+{
+    // synthesize_all_parallel walks one candidate stream for every axiom;
+    // synthesize_all walks each axiom's own pruned stream. The suites must
+    // be the same at every worker count, shard depth (adaptive with a
+    // threshold small enough to re-split) and backend: tests, witnesses
+    // and programs_considered always, executions_considered at one worker
+    // (with several, a candidate may be evaluated before an earlier
+    // isomorphic one claims its key, and its executions count too).
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const auto resolved = spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << error;
+        const mtm::Model& model = resolved->model;
+        for (const Backend backend : {Backend::kEnumerative, Backend::kSat}) {
+            SynthesisOptions opt = small_options(model.vm_aware() ? 4 : 2,
+                                                 model.vm_aware() ? 5 : 4);
+            opt.backend = backend;
+            const std::vector<SuiteResult> reference =
+                synthesize_all(model, opt);
+            for (const int jobs : {1, 2, 4}) {
+                for (const int depth : {0, 1, 2}) {
+                    SynthesisOptions fused_opt = opt;
+                    fused_opt.jobs = jobs;
+                    fused_opt.shard_depth = depth;
+                    fused_opt.resplit_threshold = depth == 0 ? 32 : 0;
+                    const std::vector<SuiteResult> fused =
+                        synthesize_all_parallel(model, fused_opt);
+                    ASSERT_EQ(fused.size(), reference.size());
+                    for (std::size_t i = 0; i < fused.size(); ++i) {
+                        const std::string where =
+                            std::string(entry.name) + " " +
+                            reference[i].axiom +
+                            (backend == Backend::kSat ? " sat" : " enum") +
+                            " jobs=" + std::to_string(jobs) +
+                            " depth=" + std::to_string(depth);
+                        EXPECT_EQ(fused[i].axiom, reference[i].axiom);
+                        EXPECT_TRUE(fused[i].complete) << where;
+                        EXPECT_EQ(tests_fingerprint(fused[i]),
+                                  tests_fingerprint(reference[i]))
+                            << where;
+                        EXPECT_EQ(fused[i].programs_considered,
+                                  reference[i].programs_considered)
+                            << where;
+                        if (jobs == 1) {
+                            EXPECT_EQ(fused[i].executions_considered,
+                                      reference[i].executions_considered)
+                                << where;
+                            EXPECT_EQ(fused[i].duplicates_rejected,
+                                      reference[i].duplicates_rejected)
+                                << where;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FusedSearch, RunLevelCountersSitOnTheFirstSuite)
+{
+    // One search, measured once: the scheduler, phase and allocation
+    // counters land on the first suite and are zero on the others, so a
+    // sum over the suites counts the search once.
+    const mtm::Model model = mtm::x86t_elt();
+    SynthesisOptions opt = small_options(4, 5);
+    opt.jobs = 2;
+    opt.collect_metrics = true;
+    opt.track_allocs = true;
+    const std::vector<SuiteResult> suites =
+        synthesize_all_parallel(model, opt);
+    ASSERT_EQ(suites.size(), model.axioms().size());
+    EXPECT_GT(suites[0].scheduler.jobs_run, 0u);
+    EXPECT_GT(suites[0].phases.total_nanos(), 0u);
+    EXPECT_GT(suites[0].allocs.total_count(), 0u);
+    for (std::size_t i = 1; i < suites.size(); ++i) {
+        EXPECT_EQ(suites[i].scheduler.jobs_run, 0u) << suites[i].axiom;
+        EXPECT_EQ(suites[i].scheduler.workers, 2) << suites[i].axiom;
+        EXPECT_EQ(suites[i].phases.total_nanos(), 0u) << suites[i].axiom;
+        EXPECT_EQ(suites[i].allocs.total_count(), 0u) << suites[i].axiom;
+        EXPECT_EQ(suites[i].seconds, suites[0].seconds) << suites[i].axiom;
+    }
+}
+
+TEST(FusedSearch, BudgetBoundsTheWholeSearch)
+{
+    const mtm::Model model = mtm::x86t_elt();
+    SynthesisOptions opt = small_options(4, 8);
+    opt.jobs = 2;
+    opt.time_budget_seconds = 0.2;
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<SuiteResult> suites =
+        synthesize_all_parallel(model, opt);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_LT(wall, 5.0);
+    for (const SuiteResult& suite : suites) {
+        EXPECT_FALSE(suite.complete) << suite.axiom;
+    }
 }
 
 TEST(Engine, ThreeCoreSynthesisFindsCrossCoreInvlpgTests)

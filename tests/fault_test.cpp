@@ -302,6 +302,59 @@ TEST(Cancellation, MidRunRequestStopsWithinTheRun)
     EXPECT_FALSE(suite.complete);
 }
 
+/// A search whose enumerator emits almost nothing for seconds: at bound
+/// 30 with eight cores and eight VAs, nearly every invlpg slot structure
+/// dies at linking or in its VA constraints before a candidate exists.
+synth::SynthesisOptions
+silent_enumerator_options()
+{
+    synth::SynthesisOptions opt = small_options(4, 30);
+    opt.max_threads = 8;
+    opt.max_vas = 8;
+    opt.jobs = 2;
+    return opt;
+}
+
+TEST(Cancellation, BudgetIsHonouredWhileTheEnumeratorEmitsNothing)
+{
+    // The enumerator polls the deadline every 1024 decisions, not only per
+    // emitted candidate, so a 0.5 s budget ends the search within seconds.
+    const mtm::Model model = mtm::x86t_elt();
+    synth::SynthesisOptions opt = silent_enumerator_options();
+    opt.time_budget_seconds = 0.5;
+    const auto start = std::chrono::steady_clock::now();
+    const synth::SuiteResult suite =
+        synth::synthesize_suite(model, "invlpg", opt);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_FALSE(suite.complete);
+    EXPECT_FALSE(suite.cancelled);
+    EXPECT_LT(wall, 5.0);
+}
+
+TEST(Cancellation, CancelIsHonouredWhileTheEnumeratorEmitsNothing)
+{
+    const mtm::Model model = mtm::x86t_elt();
+    util::CancelSource source;
+    synth::SynthesisOptions opt = silent_enumerator_options();
+    opt.cancel = source.token();
+    std::thread trigger([&source] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        source.request();
+    });
+    const auto start = std::chrono::steady_clock::now();
+    const synth::SuiteResult suite =
+        synth::synthesize_suite(model, "invlpg", opt);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    trigger.join();
+    EXPECT_TRUE(suite.cancelled);
+    EXPECT_FALSE(suite.complete);
+    EXPECT_LT(wall, 5.0);
+}
+
 // ---------------------------------------------------------------------------
 // The fault matrix: a rate=1 transient fault at every site, across jobs
 // counts and shard depths, must be absorbed by retries into a suite
@@ -470,6 +523,90 @@ TEST(Checkpoint, ResumeReplaysJournaledShardsByteIdentically)
     EXPECT_EQ(suite_fingerprint(second), suite_fingerprint(first));
     EXPECT_EQ(second.programs_considered, first.programs_considered);
     EXPECT_EQ(second.executions_considered, first.executions_considered);
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumeReplaysAFusedSearchByteIdentically)
+{
+    // One journal serves the fused all-axiom search: each record carries
+    // every axiom's counters and axiom-tagged tests.
+    const mtm::Model model = mtm::x86t_elt();
+    const std::string path = temp_path("fused.journal");
+    const std::string fingerprint = "fault_test fused v2";
+    std::string error;
+    auto journal =
+        synth::CheckpointJournal::create(path, fingerprint, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    synth::SynthesisOptions opt = small_options(4, 5);
+    opt.jobs = 2;
+    opt.resplit_threshold = 64;  // journal split records too
+    opt.checkpoint = journal.get();
+    const std::vector<synth::SuiteResult> first =
+        synth::synthesize_all_parallel(model, opt);
+    EXPECT_GT(first.front().scheduler.checkpoint_shards_saved, 0u);
+    journal.reset();
+
+    auto resumed =
+        synth::CheckpointJournal::resume(path, fingerprint, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    opt.checkpoint = resumed.get();
+    const std::vector<synth::SuiteResult> second =
+        synth::synthesize_all_parallel(model, opt);
+    EXPECT_GT(second.front().scheduler.checkpoint_shards_replayed, 0u);
+    EXPECT_EQ(second.front().scheduler.checkpoint_shards_saved, 0u);
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_TRUE(second[i].complete) << first[i].axiom;
+        EXPECT_EQ(suite_fingerprint(second[i]), suite_fingerprint(first[i]))
+            << first[i].axiom;
+        EXPECT_EQ(second[i].programs_considered,
+                  first[i].programs_considered)
+            << first[i].axiom;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
+{
+    // Format v1 journaled one axiom's counters per record and untagged
+    // tests; read as v2 it would be misparsed, so resume refuses it by
+    // its header — and elt_synth exits 2 (bad input), not 1 (I/O).
+    const std::string path = temp_path("v1.journal");
+    const std::string fingerprint =
+        synth::model_fingerprint(mtm::x86t_elt()) +
+        " bound=4 threads=2 vas=2 backend=enum shard-depth=0 "
+        "resplit-threshold=0";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "transform-checkpoint v1\n"
+            << "fingerprint " << fingerprint.size() << "\n"
+            << fingerprint << "\n"
+            << "shard 42 10 20 3 0 0 0 0 0 1469598103934665603\n";
+    }
+    std::string error;
+    bool refused = false;
+    auto resumed = synth::CheckpointJournal::resume(path, fingerprint,
+                                                    &error, &refused);
+    EXPECT_EQ(resumed, nullptr);
+    EXPECT_TRUE(refused);
+    EXPECT_NE(error.find("transform-checkpoint v1"), std::string::npos)
+        << error;
+#if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        std::freopen("/dev/null", "w", stdout);
+        std::freopen("/dev/null", "w", stderr);
+        execl(TRANSFORM_ELT_SYNTH, "elt_synth", "--axiom", "invlpg",
+              "--bound", "4", "--quiet", "--checkpoint", path.c_str(),
+              "--resume", static_cast<char*>(nullptr));
+        _exit(127);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+#endif
     std::remove(path.c_str());
 }
 

@@ -576,16 +576,18 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     EXPECT_GT(reuse.solver.bases_reused, 0u);
 }
 
-TEST(ObsReport, SolverSessionCountersAppearInSchemaV5Json)
+TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
 {
     // The three incremental counters moved the schema to v2; the base
     // cache's bases_built/bases_reused (and the "relax" phase) moved it
     // to v3; the fault-tolerant runtime's counters and "cancelled" moved
     // it to v4; the latency percentiles, allocation breakdowns, failures
-    // array, and observed-cost re-split counters moved it to v5. Pin the
-    // version and the exact keys so a silent rename or removal fails here
-    // rather than in a downstream consumer.
-    EXPECT_EQ(obs::kMetricsSchemaVersion, 5);
+    // array, and observed-cost re-split counters moved it to v5; the
+    // fused search's run-level counters (on the first suite) moved it to
+    // v6 without a key change. Pin the version and the exact keys so a
+    // silent rename or removal fails here rather than in a downstream
+    // consumer.
+    EXPECT_EQ(obs::kMetricsSchemaVersion, 6);
 
     const mtm::Model model = mtm::x86t_elt();
     obs::RunReport report;
@@ -602,7 +604,7 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV5Json)
 
     const std::string json = obs::report_to_json(report);
     EXPECT_TRUE(is_valid_json(json)) << json;
-    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
     // Each solver object (one per suite, one in totals) carries the keys.
     EXPECT_EQ(count_occurrences(json, "\"assumed_literals\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"retired_activations\""), 2);

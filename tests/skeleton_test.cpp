@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +29,30 @@ count_skeletons(const SkeletonOptions& options)
         return true;
     });
     return count;
+}
+
+/// Counts \p shard's programs, stopping at \p limit.
+int
+count_skeletons(const SkeletonShard& shard, int limit)
+{
+    int count = 0;
+    for_each_skeleton(shard, [&](const Program&) {
+        ++count;
+        return count < limit;
+    });
+    return count;
+}
+
+/// Every program of \p options' stream, printed, in stream order.
+std::vector<std::string>
+stream(const SkeletonOptions& options)
+{
+    std::vector<std::string> out;
+    for_each_skeleton(options, [&](const Program& p) {
+        out.push_back(elt::program_to_string(p));
+        return true;
+    });
+    return out;
 }
 
 TEST(Skeleton, AllGeneratedProgramsValidate)
@@ -99,6 +124,77 @@ TEST(Skeleton, RequireRmwPrunes)
         EXPECT_FALSE(p.rmw_pairs().empty());
         return true;
     });
+}
+
+TEST(Skeleton, RequirementPredicateFiltersTheUnprunedStream)
+{
+    // The fused search walks the unpruned stream and opens an axiom on the
+    // candidates meeting its requirements. That reproduces the axiom's own
+    // (pruned) stream only if filtering by the predicate gives exactly the
+    // pruned stream, in order, and its suite's dedup owners only if the
+    // predicate is constant on every canonical-key class.
+    std::vector<SkeletonOptions> bases;
+    for (int events = 4; events <= 6; ++events) {
+        SkeletonOptions vm;
+        vm.num_events = events;
+        bases.push_back(vm);
+        SkeletonOptions mcm = vm;
+        mcm.vm_enabled = false;
+        bases.push_back(mcm);
+    }
+    SkeletonOptions wide;
+    wide.num_events = 5;
+    wide.max_threads = 3;
+    wide.max_vas = 3;
+    wide.allow_full_flush = true;
+    bases.push_back(wide);
+    SkeletonOptions ablation;
+    ablation.num_events = 6;
+    ablation.dirty_bit_as_rmw = true;
+    bases.push_back(ablation);
+
+    std::vector<SkeletonOptions> requirements(4);
+    requirements[0].require_wpte = true;
+    requirements[1].require_rmw = true;
+    requirements[2].require_shared_walk = true;
+    requirements[3].require_wpte = true;
+    requirements[3].require_shared_walk = true;
+    for (const SkeletonOptions& base : bases) {
+        std::vector<std::pair<std::string, std::string>> unpruned;
+        for_each_skeleton(base, [&](const Program& p) {
+            unpruned.emplace_back(elt::program_to_string(p),
+                                  canonical_key(p));
+            return true;
+        });
+        ASSERT_FALSE(unpruned.empty());
+        const std::string label =
+            "events=" + std::to_string(base.num_events) +
+            (base.vm_enabled ? " vm" : " mcm");
+        for (std::size_t r = 0; r < requirements.size(); ++r) {
+            SkeletonOptions pruned = base;
+            pruned.require_wpte = requirements[r].require_wpte;
+            pruned.require_rmw = requirements[r].require_rmw;
+            pruned.require_shared_walk = requirements[r].require_shared_walk;
+            std::vector<std::string> filtered;
+            std::map<std::string, bool> by_key;
+            std::size_t index = 0;
+            for_each_skeleton(base, [&](const Program& p) {
+                const bool meets = meets_requirements(p, pruned);
+                if (meets) {
+                    filtered.push_back(unpruned[index].first);
+                }
+                const auto [it, fresh] =
+                    by_key.emplace(unpruned[index].second, meets);
+                EXPECT_TRUE(fresh || it->second == meets)
+                    << label << " requirement " << r << ": "
+                    << unpruned[index].first;
+                ++index;
+                return true;
+            });
+            EXPECT_EQ(filtered, stream(pruned))
+                << label << " requirement " << r;
+        }
+    }
 }
 
 TEST(Skeleton, HitsAlwaysHaveALiveWalk)
@@ -345,18 +441,6 @@ TEST(Skeleton, FixedDepthPartitionCoversFullEnumeration)
         }
         EXPECT_EQ(full, sharded) << "depth=" << depth;
     }
-}
-
-TEST(Skeleton, CountSkeletonsProbeStopsAtLimit)
-{
-    SkeletonOptions opt;
-    opt.num_events = 5;
-    const SkeletonShard whole{opt, {}};
-    const std::uint64_t total =
-        count_skeletons(whole, std::uint64_t{1} << 32);
-    EXPECT_GT(total, 10u);
-    EXPECT_EQ(count_skeletons(whole, 10), 10u);
-    EXPECT_EQ(count_skeletons(whole, total + 100), total);
 }
 
 TEST(Skeleton, ShardVisitStopsEarly)

@@ -21,7 +21,9 @@
 ///   --bound N         instruction bound, ghosts included (default 5)
 ///   --threads N       max cores (default 2)
 ///   --vas N           max data VAs (default 2)
-///   --budget SECONDS  time budget per suite (default unlimited)
+///   --budget SECONDS  time budget of the search (default unlimited); with
+///                     several axioms (--all) it bounds the one fused
+///                     search of them all, not each suite
 ///   --backend NAME    enum (default) | sat
 ///   --jobs N          scheduler workers (0 = one per hardware thread)
 ///   --shard-depth D   auto (default: lazy adaptive re-splitting) | fixed
@@ -38,13 +40,14 @@
 ///                     suite itself) is untouched; off by default
 ///   --alloc-stats     attribute every operator-new call to the active
 ///                     phase and call-site bucket (obs::AllocTracker) and
-///                     print the per-suite breakdown to stderr; also
+///                     print the search's breakdown to stderr; also
 ///                     carried in --metrics-json reports
-///   --stats           print scheduler counters per suite plus an
-///                     all-axiom aggregate (jobs, steals, lazy re-splits,
-///                     closed-prefix splits, skip re-enumerations, dedup
-///                     hits, queue wait); under --backend sat also the
-///                     per-suite SAT solver counters (solves, decisions,
+///   --stats           print the search's scheduler counters (jobs,
+///                     steals, lazy re-splits, closed-prefix splits, skip
+///                     re-enumerations, dedup hits, queue wait; one set
+///                     for the fused --all search); under --backend sat
+///                     also the per-suite SAT solver counters, plus their
+///                     all-axiom sum (solves, decisions,
 ///                     propagations, conflicts, ..., plus the incremental
 ///                     session's assumed literals, retired activation
 ///                     guards, and retained learned clauses)
@@ -66,9 +69,10 @@
 ///                     fsync'ed checksummed records) so an interrupted run
 ///                     can resume
 ///   --resume          with --checkpoint: replay the journal's shards
-///                     instead of re-searching them (refused when the
-///                     journal's run configuration differs); the resumed
-///                     suite is byte-identical to an uninterrupted run
+///                     instead of re-searching them (refused with exit 2
+///                     when the journal's format or run configuration
+///                     differs); the resumed suite is byte-identical to an
+///                     uninterrupted run
 ///   --shard-retries N re-enqueue a faulted shard up to N times before
 ///                     quarantining it into the suite's failure list
 ///                     (default 2)
@@ -93,7 +97,8 @@
 /// and stats diagnostics go to stderr. Within a time budget the suite is
 /// deterministic, so stdout is byte-identical for every --jobs value.
 ///
-/// Exit codes: 0 = every suite complete; 1 = I/O error; 2 = usage error;
+/// Exit codes: 0 = every suite complete; 1 = I/O error; 2 = usage error
+/// (a --resume journal of another format or configuration included);
 /// 3 = at least one suite incomplete (budget hit, cancelled, or shards
 /// quarantined) — the partial output is still valid.
 #include <cstdint>
@@ -250,14 +255,79 @@ print_alloc_stats(const std::string& scope, const obs::AllocTotals& a)
     }
 }
 
+/// Prints one suite: its summary line and counters on stderr, its tests
+/// on stdout and (with --out) as files. Returns 1 on an I/O error.
 int
-run_suite(const mtm::Model& model, const std::string& axiom,
-          const Args& args, util::CancelToken cancel,
-          const util::FaultPlan* fault_plan,
-          synth::CheckpointJournal* journal, obs::TraceCollector* trace,
-          sched::SchedulerStats* total, sat::SolverStats* solver_total,
-          obs::RunReport* report, obs::AllocTotals* alloc_total,
-          bool* any_incomplete)
+report_suite(const mtm::Model& model, const synth::SuiteResult& suite,
+             const std::string& status, const Args& args,
+             obs::RunReport* report)
+{
+    const std::string& axiom = suite.axiom;
+    const std::string scope = model.name() + " / " + axiom;
+    std::fprintf(stderr,
+                 "[%s] %zu unique minimal ELTs "
+                 "(%llu programs, %llu executions, %.2fs%s)\n",
+                 scope.c_str(), suite.tests.size(),
+                 static_cast<unsigned long long>(suite.programs_considered),
+                 static_cast<unsigned long long>(suite.executions_considered),
+                 suite.seconds, suite.complete ? "" : status.c_str());
+    for (const synth::ShardFailure& failure : suite.failures) {
+        std::fprintf(stderr, "[%s] quarantined after %d attempts: %s (%s)\n",
+                     scope.c_str(), failure.attempts, failure.shard.c_str(),
+                     failure.error.c_str());
+    }
+    if (report != nullptr) {
+        report->suites.push_back(obs::suite_report(suite));
+    }
+    if (args.stats && suite.solver.solve_calls > 0) {
+        print_solver_stats(scope, suite.solver);
+    }
+
+    for (std::size_t i = 0; i < suite.tests.size(); ++i) {
+        const auto& test = suite.tests[i];
+        const std::string name =
+            axiom + "_" + std::to_string(i + 1);
+        if (!args.quiet) {
+            std::printf("\n--- %s (%d instructions; violates:", name.c_str(),
+                        test.size);
+            for (const auto& v : test.violated) {
+                std::printf(" %s", v.c_str());
+            }
+            std::printf(") ---\n%s",
+                        elt::program_to_litmus(test.witness.program, name)
+                            .c_str());
+        }
+        if (!args.out_dir.empty()) {
+            namespace fs = std::filesystem;
+            const fs::path dir = fs::path(args.out_dir) / axiom;
+            std::error_code ec;
+            fs::create_directories(dir, ec);
+            if (ec) {
+                std::fprintf(stderr, "cannot create %s: %s\n",
+                             dir.string().c_str(), ec.message().c_str());
+                return 1;
+            }
+            std::ofstream litmus(dir / (name + ".litmus"));
+            litmus << elt::program_to_litmus(test.witness.program, name);
+            std::ofstream xml(dir / (name + ".xml"));
+            xml << elt::execution_to_xml(test.witness, name);
+        }
+    }
+    if (!args.quiet) {
+        std::printf("\n");
+    }
+    return 0;
+}
+
+/// Runs the search — one axiom, or every axiom of the model as one fused
+/// search — and prints its suites. Counters of the whole search
+/// (scheduler, allocations) print once, under the search's scope.
+int
+run_search(const mtm::Model& model, const std::vector<std::string>& axioms,
+           const Args& args, util::CancelToken cancel,
+           const util::FaultPlan* fault_plan,
+           synth::CheckpointJournal* journal, obs::TraceCollector* trace,
+           obs::RunReport* report, bool* any_incomplete)
 {
     synth::SynthesisOptions options;
     options.min_bound = model.vm_aware() ? 4 : 2;
@@ -277,13 +347,15 @@ run_suite(const mtm::Model& model, const std::string& axiom,
     options.trace = trace;
     // Progress heartbeat (stderr only; the suite on stdout is untouched).
     // The callback runs on the engine's sampling thread, which lives
-    // inside the synthesize_suite call below, so capturing locals by
-    // reference is safe.
+    // inside the synthesis call below, so capturing locals by reference
+    // is safe.
     struct {
         std::uint64_t candidates = 0;
         double seconds = 0.0;
     } last;
-    const std::string scope = model.name() + " / " + axiom;
+    const std::string scope =
+        model.name() + " / " +
+        (axioms.size() == 1 ? axioms.front() : std::string("all axioms"));
     if (args.progress) {
         options.progress = [&last,
                             &scope](const synth::SynthesisProgress& p) {
@@ -333,84 +405,43 @@ run_suite(const mtm::Model& model, const std::string& axiom,
     options.sat_conflict_budget = args.sat_conflict_budget;
     options.fault_plan = fault_plan;
     options.checkpoint = journal;
-    const synth::SuiteResult suite =
-        synth::synthesize_suite(model, axiom, options);
+    const std::vector<synth::SuiteResult> suites =
+        axioms.size() == 1
+            ? std::vector<synth::SuiteResult>{synth::synthesize_suite(
+                  model, axioms.front(), options)}
+            : synth::synthesize_all_parallel(model, options);
 
+    // The search's own counters — quarantined shards, scheduler,
+    // allocations — sit on its first suite.
+    const synth::SuiteResult& first = suites.front();
     std::string status;
-    if (suite.cancelled) {
+    if (first.cancelled) {
         status += ", cancelled";
     }
-    if (!suite.failures.empty()) {
-        status += ", " + std::to_string(suite.failures.size()) +
+    if (!first.failures.empty()) {
+        status += ", " + std::to_string(first.failures.size()) +
                   " shards quarantined";
     }
-    if (!suite.complete && status.empty()) {
+    if (status.empty()) {
         status = ", budget hit";
     }
-    if (!suite.complete) {
-        *any_incomplete = true;
-    }
-    std::fprintf(stderr,
-                 "[%s / %s] %zu unique minimal ELTs "
-                 "(%llu programs, %llu executions, %.2fs%s)\n",
-                 model.name().c_str(), axiom.c_str(), suite.tests.size(),
-                 static_cast<unsigned long long>(suite.programs_considered),
-                 static_cast<unsigned long long>(suite.executions_considered),
-                 suite.seconds, status.c_str());
-    for (const synth::ShardFailure& failure : suite.failures) {
-        std::fprintf(stderr,
-                     "[%s / %s] quarantined after %d attempts: %s (%s)\n",
-                     model.name().c_str(), axiom.c_str(), failure.attempts,
-                     failure.shard.c_str(), failure.error.c_str());
-    }
-    total->merge(suite.scheduler);
-    solver_total->merge(suite.solver);
-    alloc_total->merge(suite.allocs);
-    if (report != nullptr) {
-        report->suites.push_back(obs::suite_report(suite));
+    sat::SolverStats solver_total;
+    for (const synth::SuiteResult& suite : suites) {
+        *any_incomplete = *any_incomplete || !suite.complete;
+        solver_total.merge(suite.solver);
+        const int rc = report_suite(model, suite, status, args, report);
+        if (rc != 0) {
+            return rc;
+        }
     }
     if (args.stats) {
-        print_stats(scope, suite.scheduler);
-        if (suite.solver.solve_calls > 0) {
-            print_solver_stats(scope, suite.solver);
+        print_stats(scope, first.scheduler);
+        if (suites.size() > 1 && solver_total.solve_calls > 0) {
+            print_solver_stats(scope, solver_total);
         }
     }
     if (args.alloc_stats) {
-        print_alloc_stats(scope, suite.allocs);
-    }
-
-    for (std::size_t i = 0; i < suite.tests.size(); ++i) {
-        const auto& test = suite.tests[i];
-        const std::string name =
-            axiom + "_" + std::to_string(i + 1);
-        if (!args.quiet) {
-            std::printf("\n--- %s (%d instructions; violates:", name.c_str(),
-                        test.size);
-            for (const auto& v : test.violated) {
-                std::printf(" %s", v.c_str());
-            }
-            std::printf(") ---\n%s",
-                        elt::program_to_litmus(test.witness.program, name)
-                            .c_str());
-        }
-        if (!args.out_dir.empty()) {
-            namespace fs = std::filesystem;
-            const fs::path dir = fs::path(args.out_dir) / axiom;
-            std::error_code ec;
-            fs::create_directories(dir, ec);
-            if (ec) {
-                std::fprintf(stderr, "cannot create %s: %s\n",
-                             dir.string().c_str(), ec.message().c_str());
-                return 1;
-            }
-            std::ofstream litmus(dir / (name + ".litmus"));
-            litmus << elt::program_to_litmus(test.witness.program, name);
-            std::ofstream xml(dir / (name + ".xml"));
-            xml << elt::execution_to_xml(test.witness, name);
-        }
-    }
-    if (!args.quiet) {
-        std::printf("\n");
+        print_alloc_stats(scope, first.allocs);
     }
     return 0;
 }
@@ -615,13 +646,18 @@ main(int argc, char** argv)
     // still merged, printed, and (if journaling) resumable.
     const util::CancelToken cancel = util::install_signal_cancel();
     // Checkpoint journal: the fingerprint covers everything that shapes
-    // the shard task tree or the suites. --jobs is deliberately absent —
-    // the suite and the task tree are byte-identical across it (the
-    // determinism contract), so a resume may change it.
+    // the shard task tree or the suites, the searched axioms included (a
+    // fused --all search walks another stream than one axiom's). --jobs is
+    // deliberately absent — the suite and the task tree are byte-identical
+    // across it (the determinism contract), so a resume may change it.
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
+        std::string axiom_list;
+        for (const std::string& axiom : axioms) {
+            axiom_list += (axiom_list.empty() ? "" : ",") + axiom;
+        }
         const std::string fingerprint =
-            synth::model_fingerprint(model) +
+            synth::model_fingerprint(model) + " axioms=" + axiom_list +
             " bound=" + std::to_string(args.bound) +
             " threads=" + std::to_string(args.threads) +
             " vas=" + std::to_string(args.vas) +
@@ -629,17 +665,21 @@ main(int argc, char** argv)
             " shard-depth=" + std::to_string(args.shard_depth) +
             " resplit-threshold=" + std::to_string(args.resplit_threshold);
         std::string journal_error;
+        bool refused = false;
         journal = args.resume
                       ? synth::CheckpointJournal::resume(
                             args.checkpoint_path, fingerprint,
-                            &journal_error)
+                            &journal_error, &refused)
                       : synth::CheckpointJournal::create(
                             args.checkpoint_path, fingerprint,
                             &journal_error);
         if (journal == nullptr) {
+            // A journal of another format or configuration is bad input
+            // (exit 2); a file that cannot be read or written is an I/O
+            // error (exit 1).
             std::fprintf(stderr, "--checkpoint: %s\n",
                          journal_error.c_str());
-            return 1;
+            return refused ? 2 : 1;
         }
         if (args.resume) {
             std::fprintf(stderr, "[checkpoint] resuming %zu journaled "
@@ -648,9 +688,8 @@ main(int argc, char** argv)
         }
     }
     // Observability (docs/observability.md): one collector/report spans
-    // every suite of the invocation. Each suite builds its own pool, so the
-    // collector is sized for the resolved worker count, which every pool
-    // shares.
+    // every suite of the invocation, sized for the search's resolved worker
+    // count.
     std::optional<obs::TraceCollector> trace;
     if (!args.trace_path.empty()) {
         trace.emplace(sched::resolve_jobs(args.jobs));
@@ -665,32 +704,13 @@ main(int argc, char** argv)
         report->jobs = sched::resolve_jobs(args.jobs);
     }
 
-    sched::SchedulerStats total;
-    sat::SolverStats solver_total;
-    obs::AllocTotals alloc_total;
     bool any_incomplete = false;
-    for (const auto& axiom : axioms) {
-        const int rc = run_suite(model, axiom, args, cancel,
-                                 fault_plan ? &*fault_plan : nullptr,
-                                 journal.get(), trace ? &*trace : nullptr,
-                                 &total, &solver_total,
-                                 report ? &*report : nullptr, &alloc_total,
-                                 &any_incomplete);
-        if (rc != 0) {
-            return rc;
-        }
-    }
-    if (args.stats && axioms.size() > 1) {
-        // Counters sum across suites; `workers` and the queue wait (which
-        // overlap rather than add) take the maximum — see
-        // SchedulerStats::merge.
-        print_stats(model.name() + " / all axioms", total);
-        if (solver_total.solve_calls > 0) {
-            print_solver_stats(model.name() + " / all axioms", solver_total);
-        }
-    }
-    if (args.alloc_stats && axioms.size() > 1) {
-        print_alloc_stats(model.name() + " / all axioms", alloc_total);
+    const int rc = run_search(model, axioms, args, cancel,
+                              fault_plan ? &*fault_plan : nullptr,
+                              journal.get(), trace ? &*trace : nullptr,
+                              report ? &*report : nullptr, &any_incomplete);
+    if (rc != 0) {
+        return rc;
     }
     if (trace) {
         std::string error;
