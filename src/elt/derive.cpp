@@ -250,6 +250,158 @@ find_class_group(const DeriveScratch& scratch, std::int64_t key)
     return &*it;
 }
 
+/// True when \p rel was built for a program equal to \p p by content,
+/// under the same vm flag.
+bool
+same_program(const ProgramRelations& rel, const Program& p, bool vm_enabled)
+{
+    if (!rel.built || rel.vm_enabled != vm_enabled ||
+        rel.events != p.events() || rel.rmw_pairs != p.rmw_pairs() ||
+        static_cast<int>(rel.thread_ends.size()) != p.num_threads()) {
+        return false;
+    }
+    int begin = 0;
+    for (int t = 0; t < p.num_threads(); ++t) {
+        const std::vector<EventId>& seq = p.thread(t);
+        const int end = rel.thread_ends[t];
+        if (end - begin != static_cast<int>(seq.size()) ||
+            !std::equal(seq.begin(), seq.end(),
+                        rel.thread_events.begin() + begin)) {
+            return false;
+        }
+        begin = end;
+    }
+    return true;
+}
+
+/// Rebuilds \p rel for \p p: the key, the validation result and the
+/// program-only inputs of the placement rules. The relations proper are
+/// left for build_relations (first well-formed execution).
+void
+rebuild_program_relations(const Program& p, bool vm_enabled,
+                          ProgramRelations* rel)
+{
+    rel->built = true;
+    rel->vm_enabled = vm_enabled;
+    rel->events.assign(p.events().begin(), p.events().end());
+    rel->thread_events.clear();
+    rel->thread_ends.clear();
+    for (const std::vector<EventId>& seq : p.threads()) {
+        rel->thread_events.insert(rel->thread_events.end(), seq.begin(),
+                                  seq.end());
+        rel->thread_ends.push_back(
+            static_cast<int>(rel->thread_events.size()));
+    }
+    rel->rmw_pairs.assign(p.rmw_pairs().begin(), p.rmw_pairs().end());
+    rel->problems = p.validate(vm_enabled);
+    rel->relations_built = false;
+
+    const int n = p.num_events();
+    rel->useless_invlpg.assign(n, 0);
+    rel->invalidations.clear();
+    rel->wptes.clear();
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        if (is_tlb_invalidation(e.kind)) {
+            rel->invalidations.push_back(id);
+        }
+        if (e.kind == EventKind::kWpte) {
+            rel->wptes.push_back(id);
+        }
+        // Spurious invalidation usefulness rule (full flushes affect any
+        // VA, so any later same-core access justifies them).
+        if ((e.kind == EventKind::kInvlpg && e.remap_src == kNone) ||
+            e.kind == EventKind::kInvlpgAll) {
+            bool useful = false;
+            for (EventId other = 0; other < n && !useful; ++other) {
+                const Event& o = p.event(other);
+                useful = is_data_access(o.kind) && o.thread == e.thread &&
+                         (e.kind == EventKind::kInvlpgAll || o.va == e.va) &&
+                         p.precedes(id, other);
+            }
+            rel->useless_invlpg[id] = useful ? 0 : 1;
+        }
+    }
+    rel->wpte_pairs.clear();
+    for (const EventId a : rel->wptes) {
+        for (const EventId b : rel->wptes) {
+            if (a != b && p.event(a).va == p.event(b).va &&
+                p.event(a).map_pa == p.event(b).map_pa) {
+                rel->wpte_pairs.emplace_back(a, b);
+            }
+        }
+    }
+}
+
+/// Fills the program-only relations of \p rel from \p p (equal to its
+/// key), in the edge order derive_into has always produced.
+void
+build_relations(const Program& p, ProgramRelations* rel)
+{
+    const int n = p.num_events();
+    rel->po.clear();
+    rel->ppo.clear();
+    rel->fence.clear();
+    rel->po_loc_candidates.clear();
+
+    // po: all ordered same-thread pairs of non-ghost events (transitive).
+    for (int t = 0; t < p.num_threads(); ++t) {
+        const auto& seq = p.thread(t);
+        for (std::size_t i = 0; i < seq.size(); ++i) {
+            for (std::size_t j = i + 1; j < seq.size(); ++j) {
+                rel->po.emplace_back(seq[i], seq[j]);
+            }
+        }
+    }
+
+    // Extended-order pairs over memory events, used by po_loc / ppo /
+    // fence.
+    for (EventId a = 0; a < n; ++a) {
+        for (EventId b = 0; b < n; ++b) {
+            const Event& ea = p.event(a);
+            const Event& eb = p.event(b);
+            if (a == b || !is_memory(ea.kind) || !is_memory(eb.kind) ||
+                !p.precedes(a, b)) {
+                continue;
+            }
+            // po_loc: same coherence class. PTE accesses are classed by
+            // VA here; data accesses by the PA they resolve to, which only
+            // the execution knows.
+            if ((is_data_access(ea.kind) && is_data_access(eb.kind)) ||
+                (is_pte_access(ea.kind) && is_pte_access(eb.kind) &&
+                 ea.va == eb.va)) {
+                rel->po_loc_candidates.emplace_back(a, b);
+            }
+            // ppo (TSO): everything but write -> read.
+            if (!(is_write_like(ea.kind) && is_read_like(eb.kind))) {
+                rel->ppo.emplace_back(a, b);
+            }
+            // fence: an MFENCE strictly between the two events.
+            for (EventId f = 0; f < n; ++f) {
+                if (p.event(f).kind == EventKind::kMfence &&
+                    p.precedes(a, f) && p.precedes(f, b)) {
+                    rel->fence.emplace_back(a, b);
+                    break;
+                }
+            }
+        }
+    }
+
+    // ghost / remap.
+    rel->ghost.clear();
+    rel->remap.clear();
+    for (EventId id = 0; id < n; ++id) {
+        const Event& e = p.event(id);
+        if (is_ghost(e.kind)) {
+            rel->ghost.emplace_back(e.parent, id);
+        }
+        if (e.kind == EventKind::kInvlpg && e.remap_src != kNone) {
+            rel->remap.emplace_back(e.remap_src, id);
+        }
+    }
+    rel->relations_built = true;
+}
+
 }  // namespace
 
 bool
@@ -372,7 +524,11 @@ derive_into(const Execution& exec, const DeriveOptions& options,
     const Program& p = exec.program;
     const int n = p.num_events();
 
-    out.problems = p.validate(options.vm_enabled);
+    ProgramRelations& rel = scratch->program;
+    if (!same_program(rel, p, options.vm_enabled)) {
+        rebuild_program_relations(p, options.vm_enabled, &rel);
+    }
+    out.problems = rel.problems;
 
     auto witness_sizes_ok = static_cast<int>(exec.rf_src.size()) == n &&
                             static_cast<int>(exec.co_pos.size()) == n &&
@@ -478,7 +634,7 @@ derive_into(const Execution& exec, const DeriveOptions& options,
                             "uses a TLB entry loaded later in program order");
                     }
                     // No Invlpg for this VA may separate the walk from the use.
-                    for (EventId other = 0; other < n; ++other) {
+                    for (const EventId other : rel.invalidations) {
                         const Event& i = p.event(other);
                         const bool evicts =
                             (i.kind == EventKind::kInvlpg && i.va == e.va) ||
@@ -523,24 +679,11 @@ derive_into(const Execution& exec, const DeriveOptions& options,
             }
         }
 
-        // Spurious invalidation usefulness rule (full flushes affect
-        // any VA, so any later same-core access justifies them).
-        if ((e.kind == EventKind::kInvlpg && e.remap_src == kNone) ||
-            e.kind == EventKind::kInvlpgAll) {
-            bool useful = false;
-            for (EventId other = 0; other < n; ++other) {
-                const Event& o = p.event(other);
-                if (is_data_access(o.kind) && o.thread == e.thread &&
-                    (e.kind == EventKind::kInvlpgAll || o.va == e.va) &&
-                    p.precedes(id, other)) {
-                    useful = true;
-                    break;
-                }
-            }
-            if (!useful) {
-                problem("spurious INVLPG with no later "
-                        "same-VA access on its core");
-            }
+        // Spurious invalidation usefulness rule (program-only; see
+        // rebuild_program_relations).
+        if (rel.useless_invlpg[id] != 0) {
+            problem("spurious INVLPG with no later "
+                    "same-VA access on its core");
         }
     }
 
@@ -602,19 +745,11 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         }
     }
     // co and co_pa must agree where both order the same pair of Wptes.
-    for (EventId a = 0; a < n; ++a) {
-        for (EventId b = 0; b < n; ++b) {
-            const Event& ea = p.event(a);
-            const Event& eb = p.event(b);
-            if (a != b && ea.kind == EventKind::kWpte &&
-                eb.kind == EventKind::kWpte && ea.va == eb.va &&
-                ea.map_pa == eb.map_pa && exec.co_pos[a] != kNone &&
-                exec.co_pos[b] != kNone) {
-                if ((exec.co_pos[a] < exec.co_pos[b]) !=
-                    (exec.co_pa_pos[a] < exec.co_pa_pos[b])) {
-                    out.problems.push_back("co and co_pa disagree on Wpte order");
-                }
-            }
+    for (const auto& [a, b] : rel.wpte_pairs) {
+        if (exec.co_pos[a] != kNone && exec.co_pos[b] != kNone &&
+            (exec.co_pos[a] < exec.co_pos[b]) !=
+                (exec.co_pa_pos[a] < exec.co_pa_pos[b])) {
+            out.problems.push_back("co and co_pa disagree on Wpte order");
         }
     }
 
@@ -636,47 +771,20 @@ derive_into(const Execution& exec, const DeriveOptions& options,
     // Derived relations.
     // ------------------------------------------------------------------
 
-    // po: all ordered same-thread pairs of non-ghost events (transitive).
-    for (int t = 0; t < p.num_threads(); ++t) {
-        const auto& seq = p.thread(t);
-        for (std::size_t i = 0; i < seq.size(); ++i) {
-            for (std::size_t j = i + 1; j < seq.size(); ++j) {
-                out.po.emplace_back(seq[i], seq[j]);
-            }
+    // The program-only relations (po, ppo, fence) come from the block;
+    // po_loc keeps the candidate pairs that share a coherence class.
+    if (!rel.relations_built) {
+        build_relations(p, &rel);
+    }
+    out.po = rel.po;
+    for (const auto& [a, b] : rel.po_loc_candidates) {
+        if (is_pte_access(p.event(a).kind) ||
+            out.resolved_pa[a] == out.resolved_pa[b]) {
+            out.po_loc.emplace_back(a, b);
         }
     }
-
-    // Extended-order pairs over memory events, used by po_loc / ppo / fence.
-    auto ext_precedes = [&](EventId a, EventId b) { return p.precedes(a, b); };
-
-    for (EventId a = 0; a < n; ++a) {
-        for (EventId b = 0; b < n; ++b) {
-            if (a == b || !is_memory(p.event(a).kind) ||
-                !is_memory(p.event(b).kind)) {
-                continue;
-            }
-            if (!ext_precedes(a, b)) {
-                continue;
-            }
-            // po_loc: same coherence class.
-            if (class_of(a) == class_of(b) && class_of(a).tag != -1) {
-                out.po_loc.emplace_back(a, b);
-            }
-            // ppo (TSO): everything but write -> read.
-            if (!(is_write_like(p.event(a).kind) &&
-                  is_read_like(p.event(b).kind))) {
-                out.ppo.emplace_back(a, b);
-            }
-            // fence: an MFENCE strictly between the two events.
-            for (EventId f = 0; f < n; ++f) {
-                if (p.event(f).kind == EventKind::kMfence &&
-                    ext_precedes(a, f) && ext_precedes(f, b)) {
-                    out.fence.emplace_back(a, b);
-                    break;
-                }
-            }
-        }
-    }
+    out.ppo = rel.ppo;
+    out.fence = rel.fence;
 
     // rf / rfe.
     for (EventId r = 0; r < n; ++r) {
@@ -735,21 +843,9 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         }
     }
 
-    // rmw.
-    for (const auto& pair : p.rmw_pairs()) {
-        out.rmw.push_back(pair);
-    }
-
-    // ghost / remap.
-    for (EventId id = 0; id < n; ++id) {
-        const Event& e = p.event(id);
-        if (is_ghost(e.kind)) {
-            out.ghost.emplace_back(e.parent, id);
-        }
-        if (e.kind == EventKind::kInvlpg && e.remap_src != kNone) {
-            out.remap.emplace_back(e.remap_src, id);
-        }
-    }
+    out.rmw = rel.rmw_pairs;
+    out.ghost = rel.ghost;
+    out.remap = rel.remap;
 
     if (!options.vm_enabled) {
         return;
@@ -827,9 +923,8 @@ derive_into(const Execution& exec, const DeriveOptions& options,
         }
         const EventId prov = out.provenance[e];
         const int prov_pos = prov == kNone ? -1 : exec.co_pos[prov];
-        for (EventId w = 0; w < n; ++w) {
-            if (p.event(w).kind == EventKind::kWpte &&
-                p.event(w).va == p.event(e).va && w != prov &&
+        for (const EventId w : rel.wptes) {
+            if (p.event(w).va == p.event(e).va && w != prov &&
                 exec.co_pos[w] > prov_pos) {
                 out.fr_va.emplace_back(e, w);
             }

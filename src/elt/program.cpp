@@ -392,17 +392,21 @@ Program::validate(bool vm_enabled) const
         }
     }
 
-    // Each Wpte must invoke exactly one Invlpg on every core.
+    // Each Wpte must invoke exactly one Invlpg on every core. Counted in
+    // place: a valid program is validated without allocating.
     for (EventId id = 0; id < num_events(); ++id) {
         if (events_[id].kind != EventKind::kWpte) {
             continue;
         }
-        std::vector<int> per_core(num_threads(), 0);
-        for (const EventId inv : remap_targets(id)) {
-            ++per_core[events_[inv].thread];
-        }
         for (int t = 0; t < num_threads(); ++t) {
-            if (per_core[t] != 1) {
+            int on_core = 0;
+            for (const Event& inv : events_) {
+                if (inv.kind == EventKind::kInvlpg && inv.remap_src == id &&
+                    inv.thread == t) {
+                    ++on_core;
+                }
+            }
+            if (on_core != 1) {
                 complain("Wpte " + std::to_string(id) + ": needs exactly one "
                          "Invlpg on core " + std::to_string(t));
             }

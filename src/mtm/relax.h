@@ -46,6 +46,8 @@ struct Relaxation {
     /// Event removed (or the rmw pair index for kDropRmw).
     int target;
     std::string describe(const elt::Program& program) const;
+
+    bool operator==(const Relaxation&) const = default;
 };
 
 /// Enumerates every relaxation applicable to the execution's program.

@@ -135,9 +135,11 @@ struct Witness {
 };
 
 /// Per-worker reusable buffers for the candidate-evaluation hot path:
-/// derivation output + scratch, the judge's buffers, and the
-/// canonicalizer's tables. One per (run, worker); a worker runs one job at
-/// a time, so jobs index into the run's vector with their worker id.
+/// derivation output + scratch (whose program-level cache serves every
+/// execution of the candidate), the judge's buffers (its relaxed-program
+/// cache and last blocking relaxation), and the canonicalizer's tables.
+/// One per (run, worker); a worker runs one job at a time, so jobs index
+/// into the run's vector with their worker id.
 struct WorkerScratch {
     elt::DerivedRelations derived;
     elt::DeriveScratch derive;
@@ -405,10 +407,10 @@ struct SearchRun {
 /// counts, per run axiom, the executions walked while the axiom was open.
 ///
 /// The enumerative backend walks the executions once: it calls
-/// violated_mask once per execution, judges only when the mask hits a
-/// still-open axiom (the judge does not depend on the axiom), records a
-/// minimal execution as the witness of every open axiom it violates, and
-/// stops when no axiom is left open. The SAT backend searches each open
+/// violated_mask once per execution, runs the judge's relaxation sweep
+/// only when the mask hits a still-open axiom (minimality does not depend
+/// on the axiom), records a minimal execution as the witness of every
+/// open axiom it violates, and stops when no axiom is left open. The SAT backend searches each open
 /// axiom with its own session, as a one-axiom search would.
 void
 find_witnesses(SearchRun* run, const Program& program, mtm::AxiomMask open,
@@ -467,10 +469,13 @@ find_witnesses(SearchRun* run, const Program& program, mtm::AxiomMask open,
                                                 scratch->fault_key,
                                                 scratch->fault_attempt);
             }
-            // The judge attributes its own phases (kJudge for verdicts,
-            // kRelax for relaxation rebuilds) via scratch->judge.metrics,
-            // set per job in search_shard.
-            if (!judge(model, execution, &scratch->judge).minimal) {
+            // The execution is derived and well formed, violates a wanted
+            // axiom, and its program contains a write (checked on entry):
+            // only the relaxation sweep is left. It attributes its own
+            // phases (kJudge for verdicts, kRelax for relaxation
+            // rebuilds) via scratch->judge.metrics, set per job in
+            // search_shard.
+            if (!is_minimal(model, execution, &scratch->judge)) {
                 return 0;
             }
         }

@@ -1,5 +1,7 @@
 #include "synth/minimality.h"
 
+#include <algorithm>
+
 #include "elt/derive.h"
 #include "mtm/relax.h"
 #include "obs/alloc.h"
@@ -20,19 +22,81 @@ contains_write(const elt::Program& program)
 
 namespace {
 
-/// One implementation behind both judge overloads; \p diagnostics selects
-/// whether the string fields (violated names, blocking_relaxation) are
-/// filled — the scratch-reusing hot path skips them.
+/// The relaxation sweep behind is_minimal and both judge overloads. With
+/// \p blocking null (the hot path) the last blocker is tried first; the
+/// diagnostic path keeps source order and describes the first relaxation
+/// that stays forbidden into \p blocking.
+bool
+sweep_relaxations(const mtm::Model& model, const elt::Execution& execution,
+                  JudgeScratch* scratch, std::string* blocking)
+{
+    // Verdict-side allocations (relaxation-list growth, the blocking
+    // description) carry their own call-site bucket in the alloc breakdown.
+    const obs::ScopedAllocSite alloc_site(
+        obs::AllocSite::kSiteJudgeVerdict);
+    std::vector<mtm::Relaxation>& relaxations = scratch->relax.relaxations;
+    {
+        obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
+                                     obs::Phase::kJudge);
+        mtm::applicable_relaxations_into(execution.program, &relaxations);
+        if (blocking == nullptr && scratch->last_blocker) {
+            // Move the last blocker to the front, the rest in source order.
+            const auto hint = std::find(relaxations.begin(),
+                                        relaxations.end(),
+                                        *scratch->last_blocker);
+            if (hint != relaxations.end()) {
+                std::rotate(relaxations.begin(), hint, hint + 1);
+            }
+        }
+    }
+    // Each relaxed execution is rebuilt into scratch->relax (kRelax
+    // phase), then derived into scratch->derived (kJudge phase — the
+    // original's relations are no longer needed at this point).
+    for (const mtm::Relaxation& relaxation : relaxations) {
+        const elt::Execution* relaxed = nullptr;
+        {
+            obs::ScopedPhase relax_phase(scratch->metrics, scratch->worker,
+                                         obs::Phase::kRelax);
+            relaxed = &mtm::apply_relaxation_into(
+                execution, relaxation, model.vm_aware(), &scratch->relax);
+        }
+        if (relaxed->program.num_events() == 0) {
+            continue;  // the relaxation emptied the test: trivially permitted
+        }
+        obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
+                                     obs::Phase::kJudge);
+        elt::derive_into(*relaxed, model.derive_options(), &scratch->derived,
+                         &scratch->relaxed_derive);
+        // An ill-formed relaxed execution is trivially permitted (the
+        // string API reported it as the "well_formed" pseudo-axiom, which
+        // the old code did not count as still-forbidden either).
+        const bool still_forbidden =
+            scratch->derived.well_formed &&
+            model.violated_mask(relaxed->program, scratch->derived,
+                                &scratch->relaxed_derive.cycle) != 0;
+        if (still_forbidden) {
+            scratch->last_blocker = relaxation;
+            if (blocking != nullptr) {
+                *blocking = relaxation.describe(execution.program);
+            }
+            return false;
+        }
+    }
+    return true;
+}
+
+/// One implementation behind both judge overloads: derive + verdict, then
+/// the sweep. \p diagnostics selects whether the string fields (violated
+/// names, blocking_relaxation) are filled — the scratch-reusing hot path
+/// skips them.
 MinimalityVerdict
 judge_impl(const mtm::Model& model, const elt::Execution& execution,
            JudgeScratch* scratch, bool diagnostics)
 {
     MinimalityVerdict verdict;
-    // Verdict-side allocations (violated-name strings, relaxation-list
-    // growth) carry their own call-site bucket in the alloc breakdown.
-    const obs::ScopedAllocSite alloc_site(
-        obs::AllocSite::kSiteJudgeVerdict);
     {
+        const obs::ScopedAllocSite alloc_site(
+            obs::AllocSite::kSiteJudgeVerdict);
         obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
                                      obs::Phase::kJudge);
         elt::derive_into(execution, model.derive_options(), &scratch->derived,
@@ -50,44 +114,10 @@ judge_impl(const mtm::Model& model, const elt::Execution& execution,
         if (!verdict.interesting) {
             return verdict;
         }
-        mtm::applicable_relaxations_into(execution.program,
-                                         &scratch->relax.relaxations);
     }
-    // Minimality: every isolated relaxation must be permitted. Each relaxed
-    // execution is rebuilt into scratch->relax (kRelax phase), then derived
-    // into the same reused buffers as the original (kJudge phase — the
-    // original's relations are no longer needed at this point).
-    for (const mtm::Relaxation& relaxation : scratch->relax.relaxations) {
-        const elt::Execution* relaxed = nullptr;
-        {
-            obs::ScopedPhase relax_phase(scratch->metrics, scratch->worker,
-                                         obs::Phase::kRelax);
-            relaxed = &mtm::apply_relaxation_into(
-                execution, relaxation, model.vm_aware(), &scratch->relax);
-        }
-        if (relaxed->program.num_events() == 0) {
-            continue;  // the relaxation emptied the test: trivially permitted
-        }
-        obs::ScopedPhase judge_phase(scratch->metrics, scratch->worker,
-                                     obs::Phase::kJudge);
-        elt::derive_into(*relaxed, model.derive_options(), &scratch->derived,
-                         &scratch->derive);
-        // An ill-formed relaxed execution is trivially permitted (the
-        // string API reported it as the "well_formed" pseudo-axiom, which
-        // the old code did not count as still-forbidden either).
-        const bool still_forbidden =
-            scratch->derived.well_formed &&
-            model.violated_mask(relaxed->program, scratch->derived,
-                                &scratch->derive.cycle) != 0;
-        if (still_forbidden) {
-            if (diagnostics) {
-                verdict.blocking_relaxation =
-                    relaxation.describe(execution.program);
-            }
-            return verdict;  // minimal stays false
-        }
-    }
-    verdict.minimal = true;
+    verdict.minimal = sweep_relaxations(
+        model, execution, scratch,
+        diagnostics ? &verdict.blocking_relaxation : nullptr);
     return verdict;
 }
 
@@ -105,6 +135,13 @@ judge(const mtm::Model& model, const elt::Execution& execution,
       JudgeScratch* scratch)
 {
     return judge_impl(model, execution, scratch, /*diagnostics=*/false);
+}
+
+bool
+is_minimal(const mtm::Model& model, const elt::Execution& execution,
+           JudgeScratch* scratch)
+{
+    return sweep_relaxations(model, execution, scratch, nullptr);
 }
 
 }  // namespace transform::synth

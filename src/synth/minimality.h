@@ -5,13 +5,20 @@
 /// test makes the outcome permitted).
 ///
 /// Judging is the second-hottest call in the synthesis inner loop (one
-/// derivation per relaxation of every violating candidate), so it comes in
-/// two forms: the diagnostic `judge(model, execution)` that fills the
-/// string fields, and the scratch-reusing overload the engine calls, which
-/// derives every relaxed execution into reused buffers and never touches a
-/// string on the accept path.
+/// derivation per relaxation of every violating candidate). It is built
+/// from two steps: derive + verdict on the execution, then the relaxation
+/// sweep (`is_minimal`), which applies each relaxation, derives the relaxed
+/// execution and checks its verdict. `judge` runs both. The engine has
+/// already derived the execution and holds its verdict when it needs
+/// minimality, so it calls the sweep alone.
+///
+/// Two `judge` forms share one implementation: the diagnostic
+/// `judge(model, execution)` fills the string fields, and the
+/// scratch-reusing overload derives every execution into reused buffers
+/// and never touches a string on the accept path.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,18 +29,29 @@
 
 namespace transform::synth {
 
-/// Reusable buffers for judge: the derived relations of the execution (and
-/// of each relaxed execution, sequentially), the derivation scratch, and
-/// the relaxation-rebuild scratch (each relaxed execution is built into
-/// relax.relaxed rather than materialized per relaxation). One per worker;
-/// not shareable between concurrent judges.
+/// Reusable buffers for judge and is_minimal: the derived relations of the
+/// execution (and of each relaxed execution, sequentially), two derivation
+/// scratches, and the relaxation-rebuild scratch (each relaxed execution
+/// is built into relax.relaxed rather than materialized per relaxation).
+/// One per worker; not shareable between concurrent judges.
+///
+/// The judged execution and its relaxed executions derive through separate
+/// scratches, so each keeps its own program-level cache (elt::derive.h):
+/// consecutive executions of one program reuse the judged program's block,
+/// and the relaxed program usually repeats from one execution to the next.
 struct JudgeScratch {
     elt::DerivedRelations derived;
-    elt::DeriveScratch derive;
+    elt::DeriveScratch derive;          ///< the judged execution (judge())
+    elt::DeriveScratch relaxed_derive;  ///< the relaxed executions (sweep)
     mtm::RelaxScratch relax;
-    /// When set, the scratch-reusing judge overload attributes its own time
-    /// to Phase::kJudge and the relaxation rebuilds to Phase::kRelax on
-    /// \p worker's cell (the engine no longer wraps the call site).
+    /// The relaxation that last kept an execution forbidden. The sweep
+    /// tries it first when the current program has it: minimality is an
+    /// all-of over relaxations, so the order cannot change the verdict,
+    /// and a blocker tends to block the next execution of the program too.
+    std::optional<mtm::Relaxation> last_blocker;
+    /// When set, judge and is_minimal attribute their own time to
+    /// Phase::kJudge and the relaxation rebuilds to Phase::kRelax on
+    /// \p worker's cell (the engine does not wrap the call site).
     obs::MetricsRegistry* metrics = nullptr;
     int worker = 0;
 };
@@ -58,7 +76,9 @@ bool contains_write(const elt::Program& program);
 
 /// Judges a candidate execution against \p model: computes the violated
 /// axioms, the interesting criterion, and minimality under the restricted
-/// relaxations of mtm/relax.h. Fills the diagnostic string fields.
+/// relaxations of mtm/relax.h. Fills the diagnostic string fields; the
+/// relaxations are tried in source order, so blocking_relaxation names
+/// the first one that stays forbidden.
 MinimalityVerdict judge(const mtm::Model& model,
                         const elt::Execution& execution);
 
@@ -69,5 +89,13 @@ MinimalityVerdict judge(const mtm::Model& model,
 MinimalityVerdict judge(const mtm::Model& model,
                         const elt::Execution& execution,
                         JudgeScratch* scratch);
+
+/// The relaxation sweep of judge alone: true when every isolated
+/// relaxation of \p execution is permitted under \p model. The caller
+/// must already know the execution is interesting (well formed, contains
+/// a write, violates some axiom); for such an execution the result equals
+/// judge(...).minimal. Tries scratch->last_blocker first and updates it.
+bool is_minimal(const mtm::Model& model, const elt::Execution& execution,
+                JudgeScratch* scratch);
 
 }  // namespace transform::synth

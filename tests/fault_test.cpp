@@ -355,6 +355,47 @@ TEST(Cancellation, CancelIsHonouredWhileTheEnumeratorEmitsNothing)
     EXPECT_LT(wall, 5.0);
 }
 
+TEST(Cancellation, BudgetAndCancelAreHonouredAtEveryBound)
+{
+    // The liveness sweep: at bounds up to the cap (64), a 0.3 s budget and
+    // a cancel after 0.3 s each end the search, incomplete, within a fixed
+    // wall-time bound.
+    const mtm::Model model = mtm::x86t_elt();
+    const auto seconds_since = [](std::chrono::steady_clock::time_point t) {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t)
+            .count();
+    };
+    for (const int bound : {8, 16, 32, 64}) {
+        synth::SynthesisOptions budgeted = silent_enumerator_options();
+        budgeted.bound = bound;
+        budgeted.time_budget_seconds = 0.3;
+        auto start = std::chrono::steady_clock::now();
+        const synth::SuiteResult timed_out =
+            synth::synthesize_suite(model, "invlpg", budgeted);
+        EXPECT_FALSE(timed_out.complete) << "bound " << bound;
+        EXPECT_FALSE(timed_out.cancelled) << "bound " << bound;
+        EXPECT_LT(seconds_since(start), 5.0) << "bound " << bound;
+
+        util::CancelSource source;
+        synth::SynthesisOptions cancellable = silent_enumerator_options();
+        cancellable.bound = bound;
+        cancellable.cancel = source.token();
+        std::thread trigger([&source] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            source.request();
+        });
+        start = std::chrono::steady_clock::now();
+        const synth::SuiteResult cancelled =
+            synth::synthesize_suite(model, "invlpg", cancellable);
+        const double wall = seconds_since(start);
+        trigger.join();
+        EXPECT_FALSE(cancelled.complete) << "bound " << bound;
+        EXPECT_TRUE(cancelled.cancelled) << "bound " << bound;
+        EXPECT_LT(wall, 5.0) << "bound " << bound;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The fault matrix: a rate=1 transient fault at every site, across jobs
 // counts and shard depths, must be absorbed by retries into a suite

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -826,6 +827,46 @@ TEST(ObsEngine, TrackAllocsFillsSuiteAllocTotals)
     EXPECT_EQ(off.allocs.total_count(), 0u);
     EXPECT_EQ(off.allocs.total_bytes(), 0u);
 }
+
+#if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
+/// Runs elt_synth with \p flags and returns what it printed to stderr.
+std::string
+elt_synth_stderr(const std::string& flags)
+{
+    const std::string command = std::string(TRANSFORM_ELT_SYNTH) + " " +
+                                flags + " 2>&1 >/dev/null";
+    std::FILE* pipe = popen(command.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string out;
+    char buffer[4096];
+    std::size_t got = 0;
+    while (pipe != nullptr &&
+           (got = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+        out.append(buffer, got);
+    }
+    if (pipe != nullptr) {
+        EXPECT_EQ(pclose(pipe), 0) << command;
+    }
+    return out;
+}
+
+TEST(ObsTool, SolverStatsPrintSolveTimeOnlyWhenTimed)
+{
+    // Solves are only timed when metrics are collected: without
+    // --metrics-json, --stats must not print a solve time of zero.
+    const std::string flags =
+        "--axiom invlpg --bound 5 --jobs 1 --backend sat --stats --quiet";
+    const std::string untimed = elt_synth_stderr(flags);
+    EXPECT_NE(untimed.find(" solves, "), std::string::npos) << untimed;
+    EXPECT_EQ(untimed.find("(0.000s)"), std::string::npos) << untimed;
+
+    const std::string metrics = ::testing::TempDir() + "obs_tool_metrics.json";
+    const std::string timed =
+        elt_synth_stderr(flags + " --metrics-json " + metrics);
+    EXPECT_NE(timed.find(" solves ("), std::string::npos) << timed;
+    std::remove(metrics.c_str());
+}
+#endif
 
 }  // namespace
 }  // namespace transform

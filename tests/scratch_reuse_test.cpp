@@ -20,6 +20,7 @@
 #include "elt/fixtures.h"
 #include "mtm/encoding.h"
 #include "mtm/model.h"
+#include "mtm/relax.h"
 #include "spec/compile.h"
 #include "synth/canonical.h"
 #include "synth/exec_enum.h"
@@ -141,6 +142,120 @@ TEST(DeriveScratchDifferential, FixturesFieldIdentical)
         const Execution e = c.make();
         elt::derive_into(e, {c.vm}, &reused, &scratch);
         expect_identical(elt::derive(e, {c.vm}), reused, "fixture");
+    }
+}
+
+/// Derives \p e through the shared \p reused / \p scratch and compares it
+/// with a fresh derive().
+void
+derive_and_compare(const Execution& e, bool vm, DerivedRelations* reused,
+                   elt::DeriveScratch* scratch, const std::string& context)
+{
+    const elt::DeriveOptions options{vm};
+    elt::derive_into(e, options, reused, scratch);
+    expect_identical(elt::derive(e, options), *reused,
+                     context + (vm ? " (vm)" : " (mcm)"));
+}
+
+/// Up to \p limit executions of \p program, in enumeration order.
+std::vector<Execution>
+first_executions(const elt::Program& program, bool vm, int limit)
+{
+    std::vector<Execution> out;
+    synth::for_each_execution(program, vm, [&](const Execution& e) {
+        out.push_back(e);
+        return static_cast<int>(out.size()) < limit;
+    });
+    return out;
+}
+
+TEST(DeriveScratchDifferential, ProgramCacheFollowsTheProgramByContent)
+{
+    // One scratch across program A, B, A again, an ill-formed program, A,
+    // and a program equal to A but for one field (an Invlpg's remap
+    // source, an rmw pair): the program-level block must be rebuilt
+    // exactly when the content changes, and every result must match a
+    // fresh derive().
+    namespace f = elt::fixtures;
+    for (const bool vm : {true, false}) {
+        DerivedRelations reused;
+        elt::DeriveScratch scratch;
+        const Execution a = vm ? f::fig10a_ptwalk2() : f::sb_both_reads_zero_mcm();
+        const Execution b = vm ? f::fig4_remap_chain() : f::fig8_non_minimal_mcm();
+        // Ill-formed: a Write without its dirty-bit ghost (VM), or VM
+        // events with VM modelling off.
+        Execution ill = f::fig10a_ptwalk2();
+        if (vm) {
+            elt::ProgramBuilder builder;
+            builder.thread();
+            builder.rptw(builder.W(0));
+            ill = Execution::empty_for(builder.build());
+        }
+        // A with one operand changed: a remap Invlpg turned spurious (VM)
+        // or an extra rmw pair.
+        Execution a_changed = a;
+        if (vm) {
+            for (elt::EventId id = 0; id < a.program.num_events(); ++id) {
+                elt::Event event = a.program.event(id);
+                if (event.kind == elt::EventKind::kInvlpg) {
+                    event.remap_src = elt::kNone;
+                    a_changed.program.replace_event(id, event);
+                    break;
+                }
+            }
+        } else {
+            a_changed.program.add_rmw(0, 1);
+        }
+        ASSERT_FALSE(a_changed.program.events() == a.program.events() &&
+                     a_changed.program.rmw_pairs() == a.program.rmw_pairs());
+        const Execution* sequence[] = {&a, &b, &a, &ill, &a, &a_changed, &a};
+        int step = 0;
+        for (const Execution* e : sequence) {
+            const std::string context = "step " + std::to_string(step++);
+            derive_and_compare(*e, vm, &reused, &scratch, context);
+            for (const Execution& other :
+                 first_executions(e->program, vm, 6)) {
+                derive_and_compare(other, vm, &reused, &scratch,
+                                   context + " execution");
+            }
+        }
+    }
+}
+
+TEST(DeriveScratchDifferential, RelaxedProgramsOfEveryFixtureFieldIdentical)
+{
+    // The judge's pattern: the execution, then each of its relaxed
+    // executions, through one scratch per VM mode.
+    namespace f = elt::fixtures;
+    const Execution fixtures[] = {
+        f::fig2a_sb_mcm(),           f::sb_both_reads_zero_mcm(),
+        f::fig2b_sb_elt(),           f::fig2c_sb_elt_aliased(),
+        f::fig4_remap_chain(),       f::fig5a_shared_walk(),
+        f::fig5b_invlpg_forces_walk(), f::fig6_remap_disambiguation(),
+        f::fig8_non_minimal_mcm(),   f::fig10a_ptwalk2(),
+        f::fig10b_dirtybit3(),       f::fig11_new_elt(),
+    };
+    for (const bool vm : {true, false}) {
+        DerivedRelations reused;
+        elt::DeriveScratch scratch;
+        int relaxed_count = 0;
+        for (const Execution& e : fixtures) {
+            if (!e.program.validate(vm).empty()) {
+                continue;
+            }
+            for (const mtm::Relaxation& r :
+                 mtm::applicable_relaxations(e.program)) {
+                const Execution relaxed = mtm::apply_relaxation(e, r, vm);
+                const std::string context = r.describe(e.program);
+                derive_and_compare(relaxed, vm, &reused, &scratch, context);
+                derive_and_compare(relaxed, vm, &reused, &scratch,
+                                   context + " again");
+                derive_and_compare(e, vm, &reused, &scratch,
+                                   context + " original");
+                ++relaxed_count;
+            }
+        }
+        EXPECT_GT(relaxed_count, 0);
     }
 }
 

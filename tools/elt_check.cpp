@@ -117,12 +117,25 @@ check_program(const mtm::Model& model, const elt::Program& program,
     bool any_minimal = false;
     bool cancelled = false;
     std::map<std::string, int> by_axiom;
+    // One set of buffers for every execution of the program: derive_into
+    // then reuses the program's relations (elt/derive.h), the judge its
+    // own. Ill-formed executions count as violating "well_formed", as in
+    // Model::violated_axioms.
+    elt::DerivedRelations derived;
+    elt::DeriveScratch derive_scratch;
+    synth::JudgeScratch judge_scratch;
     auto consider = [&](const elt::Execution& e) {
         if (options.cancel.requested()) {
             cancelled = true;
             return false;
         }
-        const auto violated = model.violated_axioms(e);
+        elt::derive_into(e, model.derive_options(), &derived,
+                         &derive_scratch);
+        const std::vector<std::string> violated =
+            derived.well_formed
+                ? model.mask_names(model.violated_mask(
+                      e.program, derived, &derive_scratch.cycle))
+                : std::vector<std::string>{"well_formed"};
         if (violated.empty()) {
             ++permitted;
         } else {
@@ -130,8 +143,8 @@ check_program(const mtm::Model& model, const elt::Program& program,
             for (const auto& a : violated) {
                 ++by_axiom[a];
             }
-            const auto verdict = synth::judge(model, e);
-            any_minimal = any_minimal || verdict.minimal;
+            any_minimal =
+                any_minimal || synth::judge(model, e, &judge_scratch).minimal;
         }
         return true;
     };

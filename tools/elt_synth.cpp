@@ -200,18 +200,26 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     }
 }
 
+/// Prints the solver counters. Solve calls are only timed when metrics
+/// are collected (--metrics-json); \p timed says so, and without it no
+/// solve time is printed rather than a zero one.
 void
-print_solver_stats(const std::string& scope, const sat::SolverStats& s)
+print_solver_stats(const std::string& scope, const sat::SolverStats& s,
+                   bool timed)
 {
+    char seconds[32] = "";
+    if (timed) {
+        std::snprintf(seconds, sizeof seconds, " (%.3fs)",
+                      static_cast<double>(s.solve_nanos) * 1e-9);
+    }
     std::fprintf(
         stderr,
-        "[%s] solver: %llu solves (%.3fs), %llu decisions, "
+        "[%s] solver: %llu solves%s, %llu decisions, "
         "%llu propagations, %llu conflicts, %llu restarts, "
         "%llu learned (%llu deleted), %llu assumed, "
         "%llu retired guards (%llu clauses retained)\n",
         scope.c_str(),
-        static_cast<unsigned long long>(s.solve_calls),
-        static_cast<double>(s.solve_nanos) * 1e-9,
+        static_cast<unsigned long long>(s.solve_calls), seconds,
         static_cast<unsigned long long>(s.decisions),
         static_cast<unsigned long long>(s.propagations),
         static_cast<unsigned long long>(s.conflicts),
@@ -280,7 +288,7 @@ report_suite(const mtm::Model& model, const synth::SuiteResult& suite,
         report->suites.push_back(obs::suite_report(suite));
     }
     if (args.stats && suite.solver.solve_calls > 0) {
-        print_solver_stats(scope, suite.solver);
+        print_solver_stats(scope, suite.solver, report != nullptr);
     }
 
     for (std::size_t i = 0; i < suite.tests.size(); ++i) {
@@ -437,7 +445,7 @@ run_search(const mtm::Model& model, const std::vector<std::string>& axioms,
     if (args.stats) {
         print_stats(scope, first.scheduler);
         if (suites.size() > 1 && solver_total.solve_calls > 0) {
-            print_solver_stats(scope, solver_total);
+            print_solver_stats(scope, solver_total, report != nullptr);
         }
     }
     if (args.alloc_stats) {
