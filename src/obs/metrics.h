@@ -33,11 +33,14 @@ enum class Phase : int {
     kSatEncode,         ///< SAT backend: building the relational encoding
     kSatSolve,          ///< SAT backend: time inside sat::Solver::solve
     kDerive,            ///< Table-I relation derivation + axiom verdicts
-    kCanonicalize,      ///< canonical-key construction (dedup gate input)
+    kCanonicalize,      ///< canonical-key construction (accepted
+                        ///  candidates only: the merge's dedup key)
     kJudge,             ///< spanning-set minimality judging (verdict side)
     kRelax,             ///< relaxation rebuilds inside the judge (one
                         ///  relaxed execution per applicable relaxation)
-    kDedup,             ///< sharded canonical-key index lookups
+    kDedup,             ///< the merge: sort the accepted tests and keep
+                        ///  one per (axiom, canonical key); one sample
+                        ///  per search, on lane 0
     kQueueWait,         ///< wall time queued on a shared pool before the
                         ///  suite's first job ran
 };

@@ -66,8 +66,6 @@ append_scheduler(std::string* out, const std::string& indent,
     *out += "\n" + indent + "  ";
     append_kv(out, "skip_enumerations", s.skip_enumerations);
     *out += "\n" + indent + "  ";
-    append_kv(out, "dedup_hits", s.dedup_hits);
-    *out += "\n" + indent + "  ";
     append_kv(out, "queue_wait_seconds", s.queue_wait_seconds);
     *out += "\n" + indent + "  ";
     append_kv(out, "job_faults", s.job_faults);
@@ -125,6 +123,21 @@ append_solver(std::string* out, const std::string& indent,
     *out += "\n" + indent + "}";
 }
 
+/// One latency percentile of a phase and its ", " separator; null for a
+/// phase with no latency samples (one fed only by aggregate add()
+/// attributions), whose distribution is unknown, not zero.
+void
+append_percentile(std::string* out, const char* key,
+                  const LatencyHistogram& hist, double q)
+{
+    if (hist.total() == 0) {
+        *out += std::string("\"") + key + "\": null,";
+    } else {
+        append_kv(out, key, hist.percentile_nanos(q));
+    }
+    *out += " ";
+}
+
 void
 append_phases(std::string* out, const std::string& indent,
               const PhaseTotals& phases, const AllocTotals& allocs)
@@ -142,12 +155,9 @@ append_phases(std::string* out, const std::string& indent,
         *out += " ";
         append_kv(out, "count", phases.count(phase));
         *out += " ";
-        append_kv(out, "p50_ns", hist.percentile_nanos(0.5));
-        *out += " ";
-        append_kv(out, "p90_ns", hist.percentile_nanos(0.9));
-        *out += " ";
-        append_kv(out, "p99_ns", hist.percentile_nanos(0.99));
-        *out += " ";
+        append_percentile(out, "p50_ns", hist, 0.5);
+        append_percentile(out, "p90_ns", hist, 0.9);
+        append_percentile(out, "p99_ns", hist, 0.99);
         append_kv(out, "alloc_count", alloc.count);
         *out += " ";
         append_kv(out, "alloc_bytes", alloc.bytes, "");

@@ -44,7 +44,10 @@ namespace transform::obs {
 /// filled on the first suite only (zeros, workers aside, on the others),
 /// so totals count the search once; totals' "seconds" is the maximum over
 /// the suites, not their sum.
-inline constexpr int kMetricsSchemaVersion = 6;
+/// v7: scheduler objects lost dedup_hits (deduplication moved to the
+/// merge; suites' duplicates_rejected counts what it drops), and a
+/// phase's p50_ns/p90_ns/p99_ns are null when it has no latency samples.
+inline constexpr int kMetricsSchemaVersion = 7;
 
 /// One suite's slice of the report.
 struct SuiteReport {

@@ -23,7 +23,6 @@ SchedulerStats::merge(const SchedulerStats& other)
     lazy_resplits += other.lazy_resplits;
     closed_prefix_splits += other.closed_prefix_splits;
     skip_enumerations += other.skip_enumerations;
-    dedup_hits += other.dedup_hits;
     queue_wait_seconds = std::max(queue_wait_seconds,
                                   other.queue_wait_seconds);
     job_faults += other.job_faults;

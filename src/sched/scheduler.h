@@ -27,7 +27,7 @@ namespace transform::sched {
 
 /// Aggregate counters for a job group or a pool lifetime (the scheduler
 /// analogue of sat::SolverStats). The pool fills the scheduling fields; the
-/// synthesis engine adds the re-split / dedup / queue-wait fields before
+/// synthesis engine adds the re-split / queue-wait / robustness fields before
 /// surfacing the struct through SuiteResult and `elt_synth --stats`.
 struct SchedulerStats {
     int workers = 0;                 ///< worker threads in the pool
@@ -47,7 +47,6 @@ struct SchedulerStats {
     /// child inherits its parent's unconsumed skip), so this is measured,
     /// not modelled (engine).
     std::uint64_t skip_enumerations = 0;
-    std::uint64_t dedup_hits = 0;    ///< duplicate keys seen by the index
     /// Wall time a suite's jobs spent queued on a shared pool before the
     /// first one ran (its deadline armed); excluded from
     /// SuiteResult::seconds (engine).
@@ -174,7 +173,7 @@ class WorkStealingPool {
     /// Counters attributed to one group. The pool fills only `workers`,
     /// `jobs_run`, `steals`, and `job_faults`; the engine-owned fields —
     /// `lazy_resplits`, `closed_prefix_splits`, `skip_enumerations`,
-    /// `dedup_hits`, `queue_wait_seconds`, `shard_retries`,
+    /// `queue_wait_seconds`, `shard_retries`,
     /// `shards_quarantined`, and the checkpoint counters — stay 0 here and
     /// are filled by the synthesis engine into SuiteResult::scheduler.
     /// Thread-safe; settled once wait(group) has returned.

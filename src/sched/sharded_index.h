@@ -1,18 +1,12 @@
 /// \file
-/// Sharded concurrent canonical-key index — the deduplication point of the
-/// parallel synthesis runtime (see DESIGN.md, "Parallel synthesis
-/// runtime"). A single mutex around the sequential engine's `std::set`
-/// would serialize every worker on every candidate program; this index
-/// stripes the key space over N independently-locked hash maps so
-/// concurrent record() calls only contend when their keys hash to the same
-/// stripe.
-///
-/// Each key stores the minimum *ticket* (global enumeration position) seen
-/// so far. Workers use the returned claim to decide whether to evaluate a
-/// candidate (only the current-minimum holder does), and the engine's merge
-/// step keeps, per key, exactly the test whose ticket equals the final
-/// minimum — which makes the merged suite independent of scheduling order
-/// (the determinism contract in DESIGN.md).
+/// Sharded concurrent canonical-key index: a striped map from canonical key
+/// to the minimum *ticket* (global enumeration position) recorded for it.
+/// The synthesis engine does not use it — it deduplicates accepted tests
+/// once, at the merge (DESIGN.md, "Deduplication at the merge");
+/// perfbench's layer-by-layer replay times a per-candidate dedup insert
+/// through it. Striping the key space over N independently-locked
+/// hash maps means concurrent record() calls only contend when their keys
+/// hash to the same stripe.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +21,7 @@ namespace transform::sched {
 /// scheduler workers concurrently (each call locks only its key's stripe).
 /// The read-side accessors (min_ticket, hits, size) are themselves
 /// thread-safe but return settled values only after every writer has
-/// finished — the engine reads them in its merge step, after
-/// WorkStealingPool::wait() on the suite's job group.
+/// finished.
 class ShardedKeyIndex {
   public:
     /// Outcome of one record() call.

@@ -16,9 +16,12 @@
 namespace transform::synth {
 namespace {
 
-/// v2: records carry per-axiom counters and axiom-tagged tests, since one
-/// task searches every axiom of a run; task ids hash the run's axioms.
-constexpr const char* kHeaderMagic = "transform-checkpoint v2";
+/// v3: records carry per-axiom (programs, executions) counters and
+/// axiom-tagged tests, since one task searches every axiom of a run; task
+/// ids hash the run's axioms; the checksum covers the record's header line
+/// as well as its payload. (v2 also journaled a duplicates counter per
+/// axiom and checksummed the payload only.)
+constexpr const char* kHeaderMagic = "transform-checkpoint v3";
 constexpr const char* kMagicPrefix = "transform-checkpoint ";
 
 /// A record names at most this many axioms (an AxiomMask holds 32); a
@@ -92,7 +95,7 @@ parse_tests(const std::string& payload, std::size_t axioms,
             return false;
         }
         pos = eol + 1;
-        if (pos + key_len + 1 > payload.size()) {
+        if (key_len >= payload.size() - pos) {
             return false;
         }
         SynthesizedTest test;
@@ -111,7 +114,7 @@ parse_tests(const std::string& payload, std::size_t axioms,
             test.violated.push_back(payload.substr(pos, name_end - pos));
             pos = name_end + 1;
         }
-        if (pos + xml_len > payload.size()) {
+        if (xml_len > payload.size() - pos) {
             return false;
         }
         const std::optional<elt::Execution> witness =
@@ -261,7 +264,8 @@ CheckpointJournal::resume(const std::string& path,
     std::string tag;
     std::size_t fp_len = 0;
     if (!(fp_head >> tag >> fp_len) || tag != "fingerprint" ||
-        fp_eol + 1 + fp_len + 1 > contents.size() + 1) {
+        fp_len >= contents.size() - (fp_eol + 1) ||
+        contents[fp_eol + 1 + fp_len] != '\n') {
         *error = path + ": malformed journal header";
         return nullptr;
     }
@@ -285,7 +289,15 @@ CheckpointJournal::resume(const std::string& path,
         if (eol == std::string::npos) {
             break;
         }
-        std::istringstream head(contents.substr(pos, eol - pos));
+        // The header line ends in the checksum of everything before it
+        // plus the payload.
+        const std::string line = contents.substr(pos, eol - pos);
+        const std::size_t sum_at = line.rfind(' ');
+        if (sum_at == std::string::npos) {
+            break;
+        }
+        std::istringstream head(line.substr(0, sum_at));
+        std::istringstream sum(line.substr(sum_at + 1));
         ShardRecord rec;
         std::size_t axioms = 0;
         std::size_t payload_len = 0;
@@ -298,17 +310,18 @@ CheckpointJournal::resume(const std::string& path,
         }
         rec.counts.resize(axioms);
         for (AxiomCounts& counts : rec.counts) {
-            head >> counts.programs >> counts.executions >> counts.duplicates;
+            head >> counts.programs >> counts.executions;
         }
-        if (!(head >> payload_len >> checksum)) {
+        if (!(head >> payload_len) || !(sum >> checksum)) {
             break;
         }
         rec.split = split != 0;
-        if (eol + 1 + payload_len > contents.size()) {
+        if (payload_len > contents.size() - (eol + 1)) {
             break;  // torn tail (the classic SIGKILL-mid-append case)
         }
         const char* payload = contents.data() + eol + 1;
-        if (fnv1a(payload, payload_len) != checksum) {
+        if (fnv1a(payload, payload_len, fnv1a(line.data(), sum_at)) !=
+            checksum) {
             break;
         }
         if (!parse_tests(std::string(payload, payload_len), axioms,
@@ -354,11 +367,14 @@ CheckpointJournal::append(const ShardRecord& record)
            << ' ' << record.visited << ' ' << record.resume_decision << ' '
            << record.resume_skip << ' ' << record.counts.size();
     for (const AxiomCounts& counts : record.counts) {
-        framed << ' ' << counts.programs << ' ' << counts.executions << ' '
-               << counts.duplicates;
+        framed << ' ' << counts.programs << ' ' << counts.executions;
     }
-    framed << ' ' << payload.size() << ' '
-           << fnv1a(payload.data(), payload.size()) << '\n'
+    framed << ' ' << payload.size();
+    const std::string head = framed.str();
+    framed << ' '
+           << fnv1a(payload.data(), payload.size(),
+                    fnv1a(head.data(), head.size()))
+           << '\n'
            << payload;
     const std::string bytes = framed.str();
     std::lock_guard<std::mutex> lock(impl_->append_mu);

@@ -16,9 +16,10 @@
 ///
 /// Durability: the header is written to a temp file, fsync'ed, and
 /// atomically renamed into place; each record append is length-and-
-/// checksum framed and fsync'ed, so a crash can at worst truncate the
-/// final record — resume() drops any malformed tail and the affected
-/// shard is simply re-searched.
+/// checksum framed (the checksum covers the record's header line and its
+/// payload) and fsync'ed, so a crash can at worst truncate the final
+/// record — resume() drops any malformed tail and the affected shard is
+/// simply re-searched.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,6 @@ class CheckpointJournal {
     struct AxiomCounts {
         std::uint64_t programs = 0;
         std::uint64_t executions = 0;
-        std::uint64_t duplicates = 0;
     };
 
     /// An accepted test: the position of its axiom among the run's

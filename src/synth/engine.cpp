@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
-#include "sched/sharded_index.h"
 #include "synth/canonical.h"
 #include "synth/checkpoint.h"
 #include "synth/exec_enum.h"
@@ -213,10 +212,10 @@ run_axioms(const mtm::Model& model,
 }
 
 /// All in-flight state of one fused search: every axiom of the run walks
-/// one candidate stream, so one job group, one dedup index and one set of
-/// worker scratch serve them all (docs/scheduler.md, "Fused all-axiom
-/// search"). The job closures reference it, so it outlives the group
-/// (launch_search ... pool.wait ... finish_search).
+/// one candidate stream, so one job group and one set of worker scratch
+/// serve them all (docs/scheduler.md, "Fused all-axiom search"). The job
+/// closures reference it, so it outlives the group (launch_search ...
+/// pool.wait ... finish_search).
 struct SearchRun {
     SearchRun(const mtm::Model& source, std::vector<std::string> axiom_names,
               const SynthesisOptions& opts)
@@ -280,7 +279,6 @@ struct SearchRun {
     util::Stopwatch watch;
     std::once_flag deadline_armed;
     util::Deadline deadline;  ///< access via armed_deadline() from jobs
-    sched::ShardedKeyIndex index;
     sched::WorkStealingPool::GroupHandle group;
 
     std::mutex mu;  ///< guards tallies, merged and failures
@@ -387,7 +385,6 @@ struct SearchRun {
         for (std::size_t a = 0; a < tallies.size(); ++a) {
             tallies[a].programs += pass[a].programs;
             tallies[a].executions += pass[a].executions;
-            tallies[a].duplicates += pass[a].duplicates;
         }
         for (auto& test : tests) {
             merged.push_back(std::move(test));
@@ -402,9 +399,10 @@ struct SearchRun {
 /// Searches \p program's execution space once for every axiom in \p open:
 /// the witness of an axiom is the first execution, in the backend's
 /// order, that violates it and is minimal (any one witness suffices:
-/// minimality and dedup are program-level once a forbidden witness
-/// exists). Accepted witnesses land in scratch->found; \p executions
-/// counts, per run axiom, the executions walked while the axiom was open.
+/// minimality and the canonical key are program-level once a forbidden
+/// witness exists). Accepted witnesses land in scratch->found;
+/// \p executions counts, per run axiom, the executions walked while the
+/// axiom was open.
 ///
 /// The enumerative backend walks the executions once: it calls
 /// violated_mask once per execution, runs the judge's relaxation sweep
@@ -663,36 +661,9 @@ search_shard(SearchRun* run, const ShardTask& task, std::uint64_t limit,
         if (open == 0) {
             return true;  // no axiom of the run needs this candidate
         }
-        const auto for_open = [&](auto&& step) {
-            for (std::size_t a = 0; a < run->axioms.size(); ++a) {
-                if ((open & run->axioms[a].bit) != 0) {
-                    step(tally[a]);
-                }
-            }
-        };
-        for_open([](AxiomTally& t) { ++t.programs; });
-        std::string key;
-        if (options.dedup) {
-            // Claim the key. Only the holder of the minimum ticket
-            // evaluates: any earlier candidate with this key is isomorphic,
-            // has the same open axioms, and receives the same verdicts, so
-            // its owner's results (or rejections) stand for ours.
-            {
-                const obs::ScopedPhase phase(metrics, worker,
-                                             obs::Phase::kCanonicalize);
-                const obs::ScopedAllocSite site(
-                    obs::AllocSite::kSiteCanonicalKey);
-                key = canonical_key(program, &scratch.canonical);
-            }
-            bool is_min = false;
-            {
-                const obs::ScopedPhase phase(metrics, worker,
-                                             obs::Phase::kDedup);
-                is_min = run->index.record(key, ticket).is_min;
-            }
-            if (!is_min) {
-                for_open([](AxiomTally& t) { ++t.duplicates; });
-                return true;
+        for (std::size_t a = 0; a < run->axioms.size(); ++a) {
+            if ((open & run->axioms[a].bit) != 0) {
+                ++tally[a].programs;
             }
         }
         scratch.fault_key = ticket;
@@ -702,11 +673,18 @@ search_shard(SearchRun* run, const ShardTask& task, std::uint64_t limit,
             return false;
         }
         if (!scratch.found.empty()) {
-            const obs::ScopedAllocSite site(
-                obs::AllocSite::kSiteSuiteGrowth);
-            if (!options.dedup) {
+            // Isomorphs are all searched; finish_search keeps one test per
+            // canonical key, so only accepted candidates need theirs.
+            std::string key;
+            {
+                const obs::ScopedPhase phase(metrics, worker,
+                                             obs::Phase::kCanonicalize);
+                const obs::ScopedAllocSite site(
+                    obs::AllocSite::kSiteCanonicalKey);
                 key = canonical_key(program, &scratch.canonical);
             }
+            const obs::ScopedAllocSite site(
+                obs::AllocSite::kSiteSuiteGrowth);
             for (Witness& found : scratch.found) {
                 SynthesizedTest test;
                 test.witness = std::move(found.execution);
@@ -779,9 +757,8 @@ configure_sessions(const SearchRun& run, WorkerScratch* scratch)
 /// counter bumped — or quarantines it into the failures of the run once
 /// the retry budget is spent. Safe to re-run the task: the throw left no
 /// partial results (tests and counters flush only when a search pass
-/// completes), and the dedup index records the aborted pass made are
-/// idempotent under the retry's equal tickets, so a retried shard's
-/// contribution is byte-identical to a fault-free run's.
+/// completes), so a retried shard's contribution is byte-identical to a
+/// fault-free run's.
 void
 recover_and_reschedule(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                        const ShardTask& task, int worker, const char* what)
@@ -825,15 +802,12 @@ recover_and_reschedule(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
 }
 
 /// Replays a journaled shard task instead of re-searching it: counters and
-/// tests come from the record, the tests' tickets are re-recorded in the
-/// dedup index, and a split task resubmits exactly the children the
-/// original run derived (same strides and skips — the resumed task tree,
-/// and with it the journal ids, matches the interrupted run's). Suite
-/// byte-identity holds even when only some tasks replay: a kept test's min
-/// ticket is in the journal, and a rejected candidate's absence from the
-/// index only ever promotes an isomorphic candidate that receives the same
-/// rejection. (Counters like dedup_hits can differ in such mixed runs —
-/// they are diagnostics; at jobs=1 full replays reproduce them exactly.)
+/// tests (with their tickets) come from the record, and a split task
+/// resubmits exactly the children the original run derived (same strides
+/// and skips — the resumed task tree, and with it the journal ids, matches
+/// the interrupted run's). Replayed and searched tests meet in
+/// finish_search's merge like the tests of an uninterrupted run, so the
+/// suite and every counter are byte-identical however many tasks replay.
 void
 replay_shard_record(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                     const ShardTask& task,
@@ -841,9 +815,6 @@ replay_shard_record(SearchRun* raw, sched::WorkStealingPool* pool_ptr,
                     std::uint64_t* visited_out, bool* resplit_out)
 {
     raw->armed_deadline();
-    for (const CheckpointJournal::JournaledTest& entry : rec.tests) {
-        raw->index.record(entry.test.canonical_key, entry.ticket);
-    }
     raw->absorb(rec.counts, rec.tests);
     raw->ckpt_replayed.fetch_add(1, std::memory_order_relaxed);
     if (visited_out != nullptr) {
@@ -1258,26 +1229,41 @@ launch_search(sched::WorkStealingPool& pool, const mtm::Model& model,
 }
 
 /// Merges a completed SearchRun (its group must have been waited) into one
-/// SuiteResult per axiom, in run order. All workers have recorded all
-/// their candidates, so the per-key minimum ticket is now a pure function
-/// of the options; keeping exactly the test whose ticket equals it
-/// resolves every cross-shard race toward the sequential-enumeration-order
-/// winner. Counters of the whole run — scheduler, phases, allocations,
-/// quarantined shards — are measured once and land on the first suite
-/// (zeros on the others), so sums over the suites stay exact.
+/// SuiteResult per axiom, in run order, keeping one test per (axiom,
+/// canonical key): the one with the smallest ticket, i.e. the isomorph
+/// earliest in the sequential enumeration order; the others count as
+/// duplicates_rejected. Isomorphic candidates meet the same axiom
+/// requirements and receive the same verdicts, so the smallest accepted
+/// ticket of a class is the class's smallest ticket, a pure function of
+/// the options (docs/scheduler.md). Counters of the whole run — scheduler,
+/// phases, allocations, quarantined shards — are measured once and land on
+/// the first suite (zeros on the others), so sums over the suites stay
+/// exact.
 std::vector<SuiteResult>
 finish_search(sched::WorkStealingPool& pool, SearchRun& run)
 {
     std::vector<SuiteResult> results(run.axioms.size());
-    std::sort(run.merged.begin(), run.merged.end(),
-              [](const auto& a, const auto& b) {
-                  return std::tie(a.axiom, a.test.canonical_key, a.ticket) <
-                         std::tie(b.axiom, b.test.canonical_key, b.ticket);
-              });
-    for (CheckpointJournal::JournaledTest& entry : run.merged) {
-        if (!run.options.dedup ||
-            run.index.min_ticket(entry.test.canonical_key) == entry.ticket) {
-            results[entry.axiom].tests.push_back(std::move(entry.test));
+    {
+        // One lane-0 sample: every worker quiesced when the group was
+        // waited, before finish_search ran.
+        const obs::ScopedPhase phase(run.metrics.get(), 0,
+                                     obs::Phase::kDedup);
+        std::sort(run.merged.begin(), run.merged.end(),
+                  [](const auto& a, const auto& b) {
+                      return std::tie(a.axiom, a.test.canonical_key,
+                                      a.ticket) <
+                             std::tie(b.axiom, b.test.canonical_key,
+                                      b.ticket);
+                  });
+        for (CheckpointJournal::JournaledTest& entry : run.merged) {
+            SuiteResult& result = results[entry.axiom];
+            if (!result.tests.empty() &&
+                result.tests.back().canonical_key ==
+                    entry.test.canonical_key) {
+                ++result.duplicates_rejected;
+            } else {
+                result.tests.push_back(std::move(entry.test));
+            }
         }
     }
     const bool cancelled = run.cancelled.load();
@@ -1288,7 +1274,6 @@ finish_search(sched::WorkStealingPool& pool, SearchRun& run)
         result.axiom = run.axioms[a].name;
         result.programs_considered = run.tallies[a].programs;
         result.executions_considered = run.tallies[a].executions;
-        result.duplicates_rejected = run.tallies[a].duplicates;
         // Per-suite solver totals: each axiom has its own sessions and
         // replay counters, so summing them attributes exactly this
         // suite's solver work (session-level, so cached bases' solvers
@@ -1362,7 +1347,6 @@ finish_search(sched::WorkStealingPool& pool, SearchRun& run)
     scheduler.lazy_resplits = run.lazy_resplits.load();
     scheduler.closed_prefix_splits = run.closed_prefix_splits.load();
     scheduler.skip_enumerations = run.skip_enumerations.load();
-    scheduler.dedup_hits = run.index.hits();
     scheduler.queue_wait_seconds = run.queue_wait_seconds.load();
     scheduler.shard_retries = run.shard_retries.load();
     scheduler.shards_quarantined = run.shards_quarantined.load();

@@ -9,11 +9,12 @@
 /// The search runs on the parallel synthesis runtime (src/sched/, v2): the
 /// (event-bound, skeleton-prefix) space is partitioned into independent
 /// shards, one persistent work-stealing pool searches them concurrently
-/// (Chase-Lev deques), and results are merged through a sharded
-/// canonical-key index. `synthesize_all_parallel` is one fused search: it
-/// walks the candidate stream once for every axiom of the model, sharing
-/// the skeleton, canonical key, dedup and (enumerative backend) execution
-/// walk, and splits the results into per-axiom suites. Shard depth is adaptive by
+/// (Chase-Lev deques), and the accepted tests are deduplicated once, at the
+/// merge: one test per canonical key, the earliest in enumeration order.
+/// `synthesize_all_parallel` is one fused search: it walks the candidate
+/// stream once for every axiom of the model, sharing the skeleton and
+/// (enumerative backend) execution walk, and splits the results into
+/// per-axiom suites. Shard depth is adaptive by
 /// default: the engine starts from a coarse split and any shard job that
 /// visits more candidates than a cost-model threshold abandons its search
 /// lazily — in place, keeping the results already found — and resubmits
@@ -88,7 +89,6 @@ struct SynthesisOptions {
     bool allow_full_flush = false;   ///< extension: INVLPGALL events
     bool dirty_bit_as_rmw = false;   ///< section III-A2 ablation
     bool require_minimal = true;     ///< spanning-set minimality pruning
-    bool dedup = true;               ///< canonical-program deduplication
     /// Wall-time budget of one search (all axioms of a fused search
     /// together); 0 = unlimited (the paper used one week).
     double time_budget_seconds = 0;
@@ -245,6 +245,8 @@ struct SuiteResult {
     std::vector<SynthesizedTest> tests;  ///< sorted by canonical key
     std::uint64_t programs_considered = 0;
     std::uint64_t executions_considered = 0;
+    /// Accepted tests dropped at the merge because an isomorph earlier in
+    /// the enumeration order was also accepted (same canonical key).
     std::uint64_t duplicates_rejected = 0;
     /// Wall time of the search that produced the suite (shared by every
     /// suite of one search), measured from when its first shard job ran
@@ -298,8 +300,8 @@ std::vector<SuiteResult> synthesize_all(const mtm::Model& model,
 
 /// As synthesize_all, as ONE fused search on one pool of options.jobs
 /// workers: one candidate stream (the union of the axioms' pruned
-/// streams), one dedup index, and on the enumerative backend one
-/// execution walk per candidate for all the axioms open on it. The suites
+/// streams), one merge, and on the enumerative backend one execution walk
+/// per candidate for all the axioms open on it. The suites
 /// — tests, witnesses, programs_considered and executions_considered —
 /// are identical to synthesize_all's, asserted by the test suite
 /// (docs/scheduler.md gives the argument), and arrive in axiom order.

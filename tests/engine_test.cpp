@@ -3,15 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "elt/derive.h"
 #include "elt/fixtures.h"
+#include "elt/printer.h"
 #include "elt/serialize.h"
 #include "spec/registry.h"
 #include "synth/canonical.h"
 #include "synth/engine.h"
+#include "synth/exec_enum.h"
 #include "synth/minimality.h"
+#include "synth/skeleton.h"
 
 namespace transform::synth {
 namespace {
@@ -185,9 +191,8 @@ TEST(FusedSearch, MatchesThePerAxiomWalksOnEveryZooModel)
     // synthesize_all walks each axiom's own pruned stream. The suites must
     // be the same at every worker count, shard depth (adaptive with a
     // threshold small enough to re-split) and backend: tests, witnesses
-    // and programs_considered always, executions_considered at one worker
-    // (with several, a candidate may be evaluated before an earlier
-    // isomorphic one claims its key, and its executions count too).
+    // and every counter. Every candidate is searched and duplicates are
+    // dropped at the merge, so no counter depends on scheduling.
     for (const spec::RegistryEntry& entry : spec::registry_entries()) {
         std::string error;
         const auto resolved = spec::resolve_model(entry.name, &error);
@@ -223,19 +228,101 @@ TEST(FusedSearch, MatchesThePerAxiomWalksOnEveryZooModel)
                         EXPECT_EQ(fused[i].programs_considered,
                                   reference[i].programs_considered)
                             << where;
-                        if (jobs == 1) {
-                            EXPECT_EQ(fused[i].executions_considered,
-                                      reference[i].executions_considered)
-                                << where;
-                            EXPECT_EQ(fused[i].duplicates_rejected,
-                                      reference[i].duplicates_rejected)
-                                << where;
-                        }
+                        EXPECT_EQ(fused[i].executions_considered,
+                                  reference[i].executions_considered)
+                            << where;
+                        EXPECT_EQ(fused[i].duplicates_rejected,
+                                  reference[i].duplicates_rejected)
+                            << where;
                     }
                 }
             }
         }
     }
+}
+
+/// The axioms \p program is accepted for: those some well-formed execution
+/// violates while being minimal (the engine's per-axiom verdict).
+mtm::AxiomMask
+accepted_axioms(const mtm::Model& model, const elt::Program& program,
+                JudgeScratch* judge_scratch)
+{
+    mtm::AxiomMask accepted = 0;
+    if (!contains_write(program)) {
+        return accepted;
+    }
+    const mtm::AxiomMask all =
+        (mtm::AxiomMask{1} << model.axioms().size()) - 1;
+    elt::DerivedRelations derived;
+    elt::DeriveScratch scratch;
+    for_each_execution(program, model.vm_aware(),
+                       [&](const elt::Execution& execution) {
+        elt::derive_into(execution, model.derive_options(), &derived,
+                         &scratch);
+        if (derived.well_formed) {
+            const mtm::AxiomMask violated =
+                model.violated_mask(program, derived);
+            if ((violated & ~accepted) != 0 &&
+                judge(model, execution, judge_scratch).minimal) {
+                accepted |= violated;
+            }
+        }
+        return accepted != all;
+    });
+    return accepted;
+}
+
+TEST(MergeDedup, IsomorphsShareEveryAxiomVerdictOnEveryZooModel)
+{
+    // finish_search keeps, per (axiom, canonical key), the accepted test
+    // with the smallest ticket. That is the class's smallest ticket — its
+    // enumeration-earliest isomorph — only if every member of a key class
+    // gets the same per-axiom verdict. Check it on the unpruned stream of every zoo model at
+    // bound 6, member by member, for every class with two or more.
+    std::uint64_t classes_checked = 0;
+    for (const spec::RegistryEntry& entry : spec::registry_entries()) {
+        std::string error;
+        const auto resolved = spec::resolve_model(entry.name, &error);
+        ASSERT_TRUE(resolved.has_value()) << error;
+        const mtm::Model& model = resolved->model;
+        const SynthesisOptions opt = small_options(2, 6);
+        const auto for_each_candidate = [&](const auto& visit) {
+            for (int size = opt.min_bound; size <= opt.bound; ++size) {
+                for_each_skeleton(
+                    engine_skeleton_options(model, "", opt, size),
+                    [&](const elt::Program& program) {
+                        visit(program, canonical_key(program));
+                        return true;
+                    });
+            }
+        };
+        // Pass 1 sizes the classes; pass 2 judges the members of the
+        // classes with two or more against the first member's verdict.
+        std::map<std::string, std::size_t> class_size;
+        for_each_candidate([&](const elt::Program&, const std::string& key) {
+            ++class_size[key];
+        });
+        std::map<std::string, std::pair<mtm::AxiomMask, std::string>> first;
+        JudgeScratch scratch;
+        for_each_candidate([&](const elt::Program& program,
+                               const std::string& key) {
+            if (class_size[key] < 2) {
+                return;
+            }
+            const mtm::AxiomMask accepted =
+                accepted_axioms(model, program, &scratch);
+            const auto it =
+                first.emplace(key, std::pair{accepted,
+                                             elt::program_to_string(program)})
+                    .first;
+            EXPECT_EQ(accepted, it->second.first)
+                << entry.name << " class " << key << ": "
+                << it->second.second << " vs "
+                << elt::program_to_string(program);
+        });
+        classes_checked += first.size();
+    }
+    EXPECT_GT(classes_checked, 0u);
 }
 
 TEST(FusedSearch, RunLevelCountersSitOnTheFirstSuite)

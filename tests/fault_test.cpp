@@ -13,7 +13,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -607,34 +610,16 @@ TEST(Checkpoint, ResumeReplaysAFusedSearchByteIdentically)
     std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
-{
-    // Format v1 journaled one axiom's counters per record and untagged
-    // tests; read as v2 it would be misparsed, so resume refuses it by
-    // its header — and elt_synth exits 2 (bad input), not 1 (I/O).
-    const std::string path = temp_path("v1.journal");
-    const std::string fingerprint =
-        synth::model_fingerprint(mtm::x86t_elt()) +
-        " bound=4 threads=2 vas=2 backend=enum shard-depth=0 "
-        "resplit-threshold=0";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "transform-checkpoint v1\n"
-            << "fingerprint " << fingerprint.size() << "\n"
-            << fingerprint << "\n"
-            << "shard 42 10 20 3 0 0 0 0 0 1469598103934665603\n";
-    }
-    std::string error;
-    bool refused = false;
-    auto resumed = synth::CheckpointJournal::resume(path, fingerprint,
-                                                    &error, &refused);
-    EXPECT_EQ(resumed, nullptr);
-    EXPECT_TRUE(refused);
-    EXPECT_NE(error.find("transform-checkpoint v1"), std::string::npos)
-        << error;
+/// Runs elt_synth --resume on the journal at \p path (an invlpg bound-4
+/// run) and returns its exit status, or -1 when it did not exit normally.
 #if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
+int
+elt_synth_resume_status(const std::string& path)
+{
     const pid_t child = fork();
-    ASSERT_GE(child, 0);
+    if (child < 0) {
+        return -1;
+    }
     if (child == 0) {
         std::freopen("/dev/null", "w", stdout);
         std::freopen("/dev/null", "w", stderr);
@@ -644,12 +629,146 @@ TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
         _exit(127);
     }
     int status = 0;
-    ASSERT_EQ(waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
-#endif
-    std::remove(path.c_str());
+    if (waitpid(child, &status, 0) != child || !WIFEXITED(status)) {
+        return -1;
+    }
+    return WEXITSTATUS(status);
 }
+#endif
+
+TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
+{
+    // Format v1 journaled one axiom's counters per record and untagged
+    // tests; v2 journaled a duplicates counter per axiom and checksummed
+    // the payload only. Read as v3 either would be misparsed, so resume
+    // refuses them by their header — and elt_synth exits 2 (bad input),
+    // not 1 (I/O).
+    const std::string fingerprint =
+        synth::model_fingerprint(mtm::x86t_elt()) +
+        " bound=4 threads=2 vas=2 backend=enum shard-depth=0 "
+        "resplit-threshold=0";
+    for (const std::string format :
+         {"transform-checkpoint v1", "transform-checkpoint v2"}) {
+        const std::string path = temp_path("old_format.journal");
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << format << "\n"
+                << "fingerprint " << fingerprint.size() << "\n"
+                << fingerprint << "\n"
+                << "shard 42 10 20 3 0 0 0 0 0 1469598103934665603\n";
+        }
+        std::string error;
+        bool refused = false;
+        auto resumed = synth::CheckpointJournal::resume(path, fingerprint,
+                                                        &error, &refused);
+        EXPECT_EQ(resumed, nullptr) << format;
+        EXPECT_TRUE(refused) << format;
+        EXPECT_NE(error.find(format), std::string::npos) << error;
+#if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
+        EXPECT_EQ(elt_synth_resume_status(path), 2) << format;
+#endif
+        std::remove(path.c_str());
+    }
+}
+
+#if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
+TEST(Checkpoint, CorruptedJournalResumesCleanlyOrExitsTwo)
+{
+    // A seeded byte-mutation pass over a real journal with split records:
+    // truncations, byte flips anywhere, and digit changes in the journal
+    // header and record lines (their numbers steer the replay and carry
+    // the counters). Every mutant either resumes (dropping what it cannot
+    // verify) to the uninterrupted run's suite and counters with exit 0,
+    // or is refused with exit 2; never an abort.
+    const std::string path = temp_path("mutant.journal");
+    const std::string pristine = temp_path("pristine.journal");
+    const std::string base_out = temp_path("mutant_base.txt");
+    const std::string command =
+        std::string(TRANSFORM_ELT_SYNTH) +
+        " --axiom invlpg --bound 5 --resplit-threshold 64 --quiet";
+    // stdout (the suite) and the summary line without its wall time.
+    const auto outcome = [](const std::string& out, const std::string& err) {
+        std::ifstream suite(out), log(err);
+        std::string text((std::istreambuf_iterator<char>(suite)),
+                         std::istreambuf_iterator<char>());
+        for (std::string line; std::getline(log, line);) {
+            if (line.rfind("[x86t_elt / invlpg]", 0) == 0) {
+                text += line.substr(0, line.rfind(", "));
+            }
+        }
+        return text;
+    };
+    const std::string base_err = temp_path("mutant_base.err");
+    ASSERT_EQ(std::system((command + " --checkpoint " + pristine + " > " +
+                           base_out + " 2> " + base_err)
+                              .c_str()),
+              0);
+    const std::string expected = outcome(base_out, base_err);
+    ASSERT_NE(expected.find(" programs"), std::string::npos) << expected;
+    std::string bytes;
+    {
+        std::ifstream in(pristine, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 100u);
+    // Offsets of the bytes of the header lines and "shard" record lines.
+    std::vector<std::size_t> lines;
+    for (std::size_t at = 0; at < bytes.size();) {
+        const std::size_t eol = std::min(bytes.find('\n', at), bytes.size());
+        if (at == 0 || bytes.compare(at, 6, "shard ") == 0 ||
+            bytes.compare(at, 12, "fingerprint ") == 0) {
+            for (std::size_t i = at; i < eol; ++i) {
+                lines.push_back(i);
+            }
+        }
+        at = eol + 1;
+    }
+    std::mt19937_64 rng(20261020);
+    for (int mutant = 0; mutant < 48; ++mutant) {
+        std::string mutated = bytes;
+        if (mutant % 4 == 0) {
+            mutated.resize(rng() % mutated.size());
+        } else {
+            for (int flips = 1 + mutant % 2; flips > 0; --flips) {
+                if (mutant % 4 == 1) {
+                    mutated[rng() % mutated.size()] ^=
+                        static_cast<char>(1 + rng() % 255);
+                    continue;
+                }
+                char& c = mutated[lines[rng() % lines.size()]];
+                const int shift = static_cast<int>(1 + rng() % 9);
+                c = c >= '0' && c <= '9'
+                        ? static_cast<char>('0' + (c - '0' + shift) % 10)
+                        : static_cast<char>(c ^ (1 + rng() % 255));
+            }
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << mutated;
+        }
+        const std::string out_path = temp_path("mutant_out.txt");
+        const std::string err_path = temp_path("mutant_out.err");
+        const int status = std::system(
+            (command + " --checkpoint " + path + " --resume > " + out_path +
+             " 2> " + err_path)
+                .c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << "mutant " << mutant;
+        const int code = WEXITSTATUS(status);
+        EXPECT_TRUE(code == 0 || code == 2)
+            << "mutant " << mutant << " exited " << code;
+        if (code == 0) {
+            EXPECT_EQ(outcome(out_path, err_path), expected)
+                << "mutant " << mutant;
+        }
+        std::remove(out_path.c_str());
+        std::remove(err_path.c_str());
+    }
+    for (const std::string& file : {path, pristine, base_out, base_err}) {
+        std::remove(file.c_str());
+    }
+}
+#endif
 
 TEST(Checkpoint, ResumeRefusesAMismatchedFingerprint)
 {
@@ -755,15 +874,18 @@ TEST(Checkpoint, ResumeDropsATornTail)
 #if defined(__linux__)
 /// The acceptance test for crash safety: SIGKILL the process mid-run (via
 /// the kill-kind fault plan), then resume from the journal and get a
-/// byte-identical suite.
+/// byte-identical suite and the same counters. Bound 6, where the merge
+/// drops accepted isomorphs, so the duplicates count crosses the journal.
 TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
 {
     const mtm::Model model = mtm::x86t_elt();
     const std::string path = temp_path("kill.journal");
     const std::string fingerprint = "fault_test kill v1";
-    const std::string baseline = suite_fingerprint(
-        synth::synthesize_suite(model, "invlpg", small_options(4, 4)));
+    const synth::SuiteResult uninterrupted =
+        synth::synthesize_suite(model, "invlpg", small_options(4, 6));
+    const std::string baseline = suite_fingerprint(uninterrupted);
     ASSERT_FALSE(baseline.empty());
+    EXPECT_GT(uninterrupted.duplicates_rejected, 0u);
 
     const pid_t child = fork();
     ASSERT_GE(child, 0);
@@ -781,7 +903,7 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
                 &plan, &error)) {
             _exit(10);
         }
-        synth::SynthesisOptions opt = small_options(4, 4);
+        synth::SynthesisOptions opt = small_options(4, 6);
         opt.jobs = 1;
         opt.checkpoint = journal.get();
         opt.fault_plan = &plan;
@@ -800,14 +922,18 @@ TEST(Checkpoint, KillMidRunThenResumeIsByteIdentical)
         synth::CheckpointJournal::resume(path, fingerprint, &error);
     ASSERT_NE(resumed, nullptr) << error;
     EXPECT_GE(resumed->loaded(), 1u);  // the shards finished before the kill
-    synth::SynthesisOptions opt = small_options(4, 4);
-    opt.jobs = 1;
+    synth::SynthesisOptions opt = small_options(4, 6);
+    opt.jobs = 4;
     opt.checkpoint = resumed.get();
     const synth::SuiteResult suite =
         synth::synthesize_suite(model, "invlpg", opt);
     EXPECT_TRUE(suite.complete);
     EXPECT_GT(suite.scheduler.checkpoint_shards_replayed, 0u);
     EXPECT_EQ(suite_fingerprint(suite), baseline);
+    EXPECT_EQ(suite.programs_considered, uninterrupted.programs_considered);
+    EXPECT_EQ(suite.executions_considered,
+              uninterrupted.executions_considered);
+    EXPECT_EQ(suite.duplicates_rejected, uninterrupted.duplicates_rejected);
     std::remove(path.c_str());
 }
 #endif  // __linux__

@@ -577,7 +577,7 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     EXPECT_GT(reuse.solver.bases_reused, 0u);
 }
 
-TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
+TEST(ObsReport, SolverSessionCountersAppearInSchemaV7Json)
 {
     // The three incremental counters moved the schema to v2; the base
     // cache's bases_built/bases_reused (and the "relax" phase) moved it
@@ -585,10 +585,11 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
     // it to v4; the latency percentiles, allocation breakdowns, failures
     // array, and observed-cost re-split counters moved it to v5; the
     // fused search's run-level counters (on the first suite) moved it to
-    // v6 without a key change. Pin the version and the exact keys so a
-    // silent rename or removal fails here rather than in a downstream
-    // consumer.
-    EXPECT_EQ(obs::kMetricsSchemaVersion, 6);
+    // v6 without a key change; dropping dedup_hits and writing null
+    // percentiles for unsampled phases moved it to v7. Pin the version
+    // and the exact keys so a silent rename or removal fails here rather
+    // than in a downstream consumer.
+    EXPECT_EQ(obs::kMetricsSchemaVersion, 7);
 
     const mtm::Model model = mtm::x86t_elt();
     obs::RunReport report;
@@ -605,7 +606,8 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
 
     const std::string json = obs::report_to_json(report);
     EXPECT_TRUE(is_valid_json(json)) << json;
-    EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+    EXPECT_EQ(count_occurrences(json, "\"dedup_hits\""), 0);
     // Each solver object (one per suite, one in totals) carries the keys.
     EXPECT_EQ(count_occurrences(json, "\"assumed_literals\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"retired_activations\""), 2);
@@ -647,6 +649,22 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV6Json)
                   .latency[static_cast<std::size_t>(obs::Phase::kSatSolve)]
                   .total(),
               0u);
+    // v7: percentiles only where there are samples. sat_encode is an
+    // aggregate attribution (no samples): null, not 0; sat_solve's are
+    // numbers.
+    const auto phase_entry = [&json](const std::string& name) {
+        const std::size_t at = json.find("\"" + name + "\": {");
+        return at == std::string::npos
+                   ? std::string()
+                   : json.substr(at, json.find('}', at) - at);
+    };
+    EXPECT_NE(phase_entry("sat_encode").find("\"p50_ns\": null, "
+                                              "\"p90_ns\": null, "
+                                              "\"p99_ns\": null,"),
+              std::string::npos)
+        << phase_entry("sat_encode");
+    EXPECT_EQ(phase_entry("sat_solve").find("null"), std::string::npos)
+        << phase_entry("sat_solve");
     // And the totals really accumulate the session's counters.
     EXPECT_GT(report.totals().solver.retired_activations, 0u);
 }
@@ -865,6 +883,17 @@ TEST(ObsTool, SolverStatsPrintSolveTimeOnlyWhenTimed)
         elt_synth_stderr(flags + " --metrics-json " + metrics);
     EXPECT_NE(timed.find(" solves ("), std::string::npos) << timed;
     std::remove(metrics.c_str());
+}
+
+TEST(ObsTool, ProgressHeartbeatPrintsNoEta)
+{
+    // Lazy re-splits keep adding shards, so the shard completion ratio
+    // predicts no finishing time: the heartbeat reports progress only.
+    const std::string out = elt_synth_stderr(
+        "--all --bound 5 --jobs 2 --resplit-threshold 64 --progress --quiet");
+    EXPECT_NE(out.find("[progress] "), std::string::npos) << out;
+    EXPECT_NE(out.find(" elapsed"), std::string::npos) << out;
+    EXPECT_EQ(out.find("ETA"), std::string::npos) << out;
 }
 #endif
 

@@ -1,8 +1,8 @@
 /// \file
 /// Tests for the v2 parallel synthesis runtime: the Chase-Lev lock-free
 /// deque, the persistent work-stealing pool (job groups, in-job spawning,
-/// reuse across batches), the sharded canonical-key index, and the
-/// engine-level determinism contract — a multi-threaded synthesize_suite
+/// reuse across batches), the sharded canonical-key index (perfbench's
+/// replay uses it), and the engine-level determinism contract — a multi-threaded synthesize_suite
 /// run yields the exact same canonical suite (keys, order, witnesses) as
 /// jobs=1, on both backends, at every shard depth including adaptive
 /// re-splitting. This binary also runs under ThreadSanitizer in CI.
@@ -269,7 +269,6 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     a.lazy_resplits = 4;
     a.closed_prefix_splits = 1;
     a.skip_enumerations = 100;
-    a.dedup_hits = 7;
     a.queue_wait_seconds = 0.5;
     sched::SchedulerStats b;
     b.workers = 4;
@@ -278,7 +277,6 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     b.lazy_resplits = 6;
     b.closed_prefix_splits = 2;
     b.skip_enumerations = 50;
-    b.dedup_hits = 1;
     b.queue_wait_seconds = 0.25;
     a.merge(b);
     EXPECT_EQ(a.workers, 4);  // same-pool maximum, not a sum
@@ -287,7 +285,6 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     EXPECT_EQ(a.lazy_resplits, 10u);
     EXPECT_EQ(a.closed_prefix_splits, 3u);
     EXPECT_EQ(a.skip_enumerations, 150u);
-    EXPECT_EQ(a.dedup_hits, 8u);
     EXPECT_EQ(a.queue_wait_seconds, 0.5);  // waits overlap: maximum
 }
 
@@ -476,7 +473,7 @@ TEST(SchedStats, CountersAreFilledAndJobsIndependent)
     // lowers the threshold); the AdaptiveSharding tests cover the feedback.
     const mtm::Model model = mtm::x86t_elt();
     synth::SynthesisOptions options =
-        suite_options(5, 1, synth::Backend::kEnumerative);
+        suite_options(6, 1, synth::Backend::kEnumerative);
     options.observed_cost_feedback = false;
     const synth::SuiteResult one =
         synth::synthesize_suite(model, "invlpg", options);
@@ -488,9 +485,29 @@ TEST(SchedStats, CountersAreFilledAndJobsIndependent)
     EXPECT_GT(one.scheduler.jobs_run, 0u);
     EXPECT_EQ(one.scheduler.jobs_run, four.scheduler.jobs_run)
         << "the shard list must not depend on the worker count";
-    // Candidate enumeration is shard-local, so the programs counter is a
-    // pure function of the options.
-    EXPECT_EQ(one.programs_considered, four.programs_considered);
+    // Every candidate is searched and duplicates are dropped once, at the
+    // merge, so the enumerative counters are pure functions of the
+    // options at every worker count and shard depth. At bound 6 the merge
+    // drops accepted isomorphs, so duplicates_rejected is exercised too.
+    EXPECT_GT(one.duplicates_rejected, 0u);
+    for (const int depth : {0, 1, 2}) {
+        for (const int jobs : {1, 4}) {
+            options.jobs = jobs;
+            options.shard_depth = depth;
+            const synth::SuiteResult run =
+                synth::synthesize_suite(model, "invlpg", options);
+            const std::string where = "jobs=" + std::to_string(jobs) +
+                                      " shard_depth=" + std::to_string(depth);
+            EXPECT_EQ(suite_fingerprint(run), suite_fingerprint(one))
+                << where;
+            EXPECT_EQ(run.programs_considered, one.programs_considered)
+                << where;
+            EXPECT_EQ(run.executions_considered, one.executions_considered)
+                << where;
+            EXPECT_EQ(run.duplicates_rejected, one.duplicates_rejected)
+                << where;
+        }
+    }
 }
 
 TEST(AdaptiveSharding, FixedDepthsAndAdaptiveProduceIdenticalSuites)

@@ -131,8 +131,8 @@ TEST(Skeleton, RequirementPredicateFiltersTheUnprunedStream)
     // The fused search walks the unpruned stream and opens an axiom on the
     // candidates meeting its requirements. That reproduces the axiom's own
     // (pruned) stream only if filtering by the predicate gives exactly the
-    // pruned stream, in order, and its suite's dedup owners only if the
-    // predicate is constant on every canonical-key class.
+    // pruned stream, in order, and the tests the merge keeps for it only
+    // if the predicate is constant on every canonical-key class.
     std::vector<SkeletonOptions> bases;
     for (int events = 4; events <= 6; ++events) {
         SkeletonOptions vm;

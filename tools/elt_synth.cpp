@@ -35,16 +35,18 @@
 ///   --progress        stderr heartbeat every ~2s while a suite runs:
 ///                     shards done/submitted, candidates visited (with an
 ///                     instantaneous candidates/sec rate), pre-merge tests
-///                     found, checkpoint save/replay counters, and a rough
-///                     ETA from the shard completion ratio. stdout (the
-///                     suite itself) is untouched; off by default
+///                     found, checkpoint save/replay counters, and the
+///                     elapsed time (no ETA: lazy re-splits keep adding
+///                     shards, so the completion ratio predicts nothing).
+///                     stdout (the suite itself) is untouched; off by
+///                     default
 ///   --alloc-stats     attribute every operator-new call to the active
 ///                     phase and call-site bucket (obs::AllocTracker) and
 ///                     print the search's breakdown to stderr; also
 ///                     carried in --metrics-json reports
 ///   --stats           print the search's scheduler counters (jobs,
 ///                     steals, lazy re-splits, closed-prefix splits, skip
-///                     re-enumerations, dedup hits, queue wait; one set
+///                     re-enumerations, queue wait; one set
 ///                     for the fused --all search); under --backend sat
 ///                     also the per-suite SAT solver counters, plus their
 ///                     all-axiom sum (solves, decisions,
@@ -175,14 +177,13 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
         stderr,
         "[%s] scheduler: %d workers, %llu jobs, %llu steals, "
         "%llu lazy re-splits (%llu closed-prefix), "
-        "%llu skip re-enumerations, %llu dedup hits, %.3fs queue wait\n",
+        "%llu skip re-enumerations, %.3fs queue wait\n",
         scope.c_str(), s.workers,
         static_cast<unsigned long long>(s.jobs_run),
         static_cast<unsigned long long>(s.steals),
         static_cast<unsigned long long>(s.lazy_resplits),
         static_cast<unsigned long long>(s.closed_prefix_splits),
         static_cast<unsigned long long>(s.skip_enumerations),
-        static_cast<unsigned long long>(s.dedup_hits),
         s.queue_wait_seconds);
     if (s.shard_retries + s.shards_quarantined + s.checkpoint_shards_saved +
             s.checkpoint_shards_replayed + s.job_faults >
@@ -374,19 +375,6 @@ run_search(const mtm::Model& model, const std::vector<std::string>& axioms,
                        : 0.0;
             last.candidates = p.candidates;
             last.seconds = p.seconds;
-            // ETA from the shard completion ratio — rough by design:
-            // shards_submitted grows as lazy re-splits fire.
-            char eta[32] = "?";
-            if (p.shards_done > 0 && p.shards_submitted > p.shards_done) {
-                std::snprintf(eta, sizeof eta, "~%.1fs",
-                              p.seconds *
-                                  static_cast<double>(p.shards_submitted -
-                                                      p.shards_done) /
-                                  static_cast<double>(p.shards_done));
-            } else if (p.shards_done == p.shards_submitted &&
-                       p.shards_done > 0) {
-                std::snprintf(eta, sizeof eta, "draining");
-            }
             std::string ckpt;
             if (p.checkpoint_shards_saved + p.checkpoint_shards_replayed >
                 0) {
@@ -399,13 +387,13 @@ run_search(const mtm::Model& model, const std::vector<std::string>& axioms,
             std::fprintf(
                 stderr,
                 "[progress] %s: shards %llu/%llu, %llu candidates "
-                "(%.0f/s), %llu found%s, %.1fs elapsed, ETA %s\n",
+                "(%.0f/s), %llu found%s, %.1fs elapsed\n",
                 scope.c_str(),
                 static_cast<unsigned long long>(p.shards_done),
                 static_cast<unsigned long long>(p.shards_submitted),
                 static_cast<unsigned long long>(p.candidates), rate,
                 static_cast<unsigned long long>(p.tests_found),
-                ckpt.c_str(), p.seconds, eta);
+                ckpt.c_str(), p.seconds);
         };
     }
     options.cancel = cancel;

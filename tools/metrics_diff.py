@@ -13,9 +13,9 @@ breakdowns — as a before/after/delta table.
 
 Typical use (docs/performance.md): capture a report before and after a
 change with identical flags, then diff. Deterministic counters
-(programs_considered, dedup hits, alloc counts) must match exactly for a
-pure-perf change — a moved counter means the change perturbed the search,
-which the byte-identity tests will also catch. Timing keys (seconds,
+(programs_considered, duplicates_rejected, alloc counts) must match
+exactly for a pure-perf change — a moved counter means the change
+perturbed the search, which the byte-identity tests will also catch. Timing keys (seconds,
 p50/p90/p99) carry machine noise; read them as trends.
 
 Exit codes: 0 = diff printed; 2 = usage / unreadable input / schema
