@@ -36,7 +36,10 @@ namespace transform::bench {
 /// v5: the substrate record lost the `.mtm` twin rows (spec_enum_*,
 /// spec_sat_incremental_*): x86t_elt is its compiled `.mtm` source, so
 /// there is no second model to price.
-inline constexpr int kBenchSchemaVersion = 5;
+/// v6: the scaling record lost lazy_candidates_per_sec and
+/// lazy_skip_enumerations: the engine searches one static shard partition,
+/// so there is no lazy re-split run to measure.
+inline constexpr int kBenchSchemaVersion = 6;
 
 /// The determinism contract's observable, shared by the scaling and
 /// substrate benches: canonical keys, order, sizes and (optionally) the

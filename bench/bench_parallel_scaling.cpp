@@ -3,15 +3,12 @@
 /// full all-axiom suite sweep at 1/2/4/8 scheduler jobs on the fixture
 /// MTMs, reporting speedup over the sequential (jobs=1) run. The sweep
 /// goes through synthesize_all_parallel — one fused search of every axiom
-/// on ONE work-stealing pool (Chase-Lev deques + lazy adaptive shard
-/// re-splitting) — the paper's Alloy pipeline took a week single-threaded
-/// at bound 11; the point of the runtime is that added cores translate
-/// into wall-clock speedup while the synthesized suite stays
-/// byte-identical, at every job count and at every shard granularity.
-///
-/// A last run forces lazy re-splitting (threshold 64, one job) and
-/// reports its candidate throughput and the candidates its boundary
-/// children re-enumerated on resume (the design's only repeated work).
+/// on ONE work-stealing pool (Chase-Lev deques over one static shard
+/// partition per event bound) — the paper's Alloy pipeline took a week
+/// single-threaded at bound 11; the point of the runtime is that added
+/// cores translate into wall-clock speedup while the synthesized suite,
+/// the candidates searched and the shard jobs run stay identical at every
+/// job count.
 ///
 /// Knobs: TRANSFORM_SCALING_BOUND (default 6), TRANSFORM_SCALING_MODEL
 /// (x86t_elt | x86tso, default x86t_elt), TRANSFORM_SCALING_JSON (output
@@ -57,8 +54,7 @@ main()
     bench::banner("parallel_scaling",
                   "synthesis-loop scaling (TransForm section IV at scale)",
                   "one fused search sweeps all axioms; suites are "
-                  "identical at every job count, shard depth, and re-split "
-                  "threshold");
+                  "identical at every job count");
     std::printf("model %s, bounds %d..%d, %u hardware thread(s)\n\n",
                 model.name().c_str(), model.vm_aware() ? 4 : 2, bound, hw);
 
@@ -71,9 +67,9 @@ main()
     json.push_back(bench::jint("hardware_threads", hw));
     std::string reference_fp;
     std::uint64_t reference_programs = 0;
-    std::printf("%8s %12s %10s %9s %9s %10s %10s %8s\n", "jobs", "wall (s)",
-                "speedup", "tests", "shards", "steals", "re-splits",
-                "closed");
+    std::uint64_t reference_shards = 0;
+    std::printf("%8s %12s %10s %9s %9s %10s\n", "jobs", "wall (s)",
+                "speedup", "tests", "shards", "steals");
     bool ok = true;
     for (const int jobs : job_counts) {
         synth::SynthesisOptions opt;
@@ -86,24 +82,18 @@ main()
         seconds.push_back(elapsed);
         std::uint64_t steals = 0;
         std::uint64_t shard_jobs = 0;
-        std::uint64_t resplits = 0;
-        std::uint64_t closed = 0;
         std::uint64_t programs = 0;
         int tests = 0;
         for (const auto& suite : suites) {
             steals += suite.scheduler.steals;
             shard_jobs += suite.scheduler.jobs_run;
-            resplits += suite.scheduler.lazy_resplits;
-            closed += suite.scheduler.closed_prefix_splits;
             programs += suite.programs_considered;
             tests += static_cast<int>(suite.tests.size());
         }
-        std::printf("%8d %12.3f %9.2fx %9d %9llu %10llu %10llu %8llu\n",
-                    jobs, elapsed, seconds.front() / elapsed, tests,
+        std::printf("%8d %12.3f %9.2fx %9d %9llu %10llu\n", jobs, elapsed,
+                    seconds.front() / elapsed, tests,
                     static_cast<unsigned long long>(shard_jobs),
-                    static_cast<unsigned long long>(steals),
-                    static_cast<unsigned long long>(resplits),
-                    static_cast<unsigned long long>(closed));
+                    static_cast<unsigned long long>(steals));
         const std::string jobs_key = "jobs_" + std::to_string(jobs);
         json.push_back(bench::jnum(jobs_key + "_seconds", elapsed));
         json.push_back(bench::jnum(jobs_key + "_programs_per_sec",
@@ -114,92 +104,21 @@ main()
         if (jobs == job_counts.front()) {
             reference_fp = fp;
             reference_programs = programs;
+            reference_shards = shard_jobs;
         } else {
-            ok = bench::check(("suite byte-identical at jobs=" +
-                               std::to_string(jobs))
-                                  .c_str(),
+            const std::string at = " at jobs=" + std::to_string(jobs);
+            ok = bench::check(("suite byte-identical" + at).c_str(),
                               fp == reference_fp) &&
+                 ok;
+            ok = bench::check(("candidates counted once" + at).c_str(),
+                              programs == reference_programs) &&
+                 ok;
+            ok = bench::check(("same shard jobs" + at).c_str(),
+                              shard_jobs == reference_shards) &&
                  ok;
         }
     }
     std::printf("\n");
-
-    // Shard-granularity sweep: the lazy adaptive default must agree with
-    // every fixed prefix depth and every re-split threshold (including one
-    // small enough to recurse past closed first threads).
-    std::uint64_t closed_prefix_seen = 0;
-    struct SweepPoint {
-        const char* label;
-        int depth;
-        std::uint64_t threshold;
-    };
-    const std::vector<SweepPoint> sweep = {
-        {"depth=1", 1, 0},          {"depth=2", 2, 0},
-        {"depth=3", 3, 0},          {"adaptive T=1024", 0, 1024},
-        {"adaptive T=4", 0, 4},
-    };
-    for (const SweepPoint& point : sweep) {
-        synth::SynthesisOptions opt;
-        opt.min_bound = model.vm_aware() ? 4 : 2;
-        opt.bound = bound;
-        opt.jobs = 4;
-        opt.shard_depth = point.depth;
-        opt.resplit_threshold = point.threshold;
-        const auto suites = synth::synthesize_all_parallel(model, opt);
-        for (const auto& suite : suites) {
-            closed_prefix_seen += suite.scheduler.closed_prefix_splits;
-        }
-        ok = bench::check(("suite byte-identical at " +
-                           std::string(point.label))
-                              .c_str(),
-                          sweep_fingerprint(suites) == reference_fp) &&
-             ok;
-    }
-    ok = bench::check("closed-prefix splits observed in sweep",
-                      closed_prefix_seen > 0) &&
-         ok;
-
-    // Lazy re-split run: a threshold small enough that shards abandon
-    // their search and resubmit the remainder as children. Its only
-    // repeated work is the boundary children's skip replay, measured by
-    // the engine itself (skip_enumerations).
-    {
-        synth::SynthesisOptions opt;
-        opt.min_bound = model.vm_aware() ? 4 : 2;
-        opt.bound = bound;
-        opt.jobs = 1;
-        opt.resplit_threshold = 64;
-        util::Stopwatch lazy_watch;
-        const auto suites = synth::synthesize_all_parallel(model, opt);
-        const double lazy_wall = lazy_watch.elapsed_seconds();
-        std::uint64_t programs = 0;
-        std::uint64_t resplits = 0;
-        std::uint64_t lazy_repeated = 0;
-        for (const auto& suite : suites) {
-            programs += suite.programs_considered;
-            resplits += suite.scheduler.lazy_resplits;
-            lazy_repeated += suite.scheduler.skip_enumerations;
-        }
-        std::printf("\nlazy re-splitting (adaptive, T=%llu): %.3fs, "
-                    "%.0f candidates/s (%llu re-splits, %llu skip "
-                    "re-enumerations)\n",
-                    static_cast<unsigned long long>(opt.resplit_threshold),
-                    lazy_wall, static_cast<double>(programs) / lazy_wall,
-                    static_cast<unsigned long long>(resplits),
-                    static_cast<unsigned long long>(lazy_repeated));
-        json.push_back(bench::jnum("lazy_candidates_per_sec",
-                                   static_cast<double>(programs) / lazy_wall));
-        json.push_back(bench::jint("lazy_skip_enumerations", lazy_repeated));
-        ok = bench::check("suite byte-identical in lazy re-split run",
-                          sweep_fingerprint(suites) == reference_fp) &&
-             ok;
-        ok = bench::check("candidates counted once per sweep",
-                          programs == reference_programs) &&
-             ok;
-        ok = bench::check("re-splits actually fired in lazy re-split run",
-                          resplits > 0) &&
-             ok;
-    }
 
     // Speedup needs cores to scale onto; the determinism checks above run
     // everywhere, the throughput check only where 4 workers can actually

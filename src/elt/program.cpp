@@ -287,7 +287,7 @@ Program::validate(bool vm_enabled) const
             }
         }
         for (const auto& [r, w] : rmws_) {
-            if (r >= num_events() || w >= num_events() ||
+            if (r < 0 || w < 0 || r >= num_events() || w >= num_events() ||
                 events_[r].kind != EventKind::kRead ||
                 events_[w].kind != EventKind::kWrite ||
                 events_[r].thread != events_[w].thread ||
@@ -306,7 +306,7 @@ Program::validate(bool vm_enabled) const
             continue;
         }
         if (is_ghost(e.kind)) {
-            if (e.parent == kNone || e.parent >= num_events()) {
+            if (e.parent < 0 || e.parent >= num_events()) {
                 complain("ghost " + std::to_string(id) + ": missing parent");
                 continue;
             }
@@ -334,7 +334,7 @@ Program::validate(bool vm_enabled) const
             complain("Wpte " + std::to_string(id) + ": missing target PA");
         }
         if (e.kind == EventKind::kInvlpg && e.remap_src != kNone) {
-            if (e.remap_src >= num_events() ||
+            if (e.remap_src < 0 || e.remap_src >= num_events() ||
                 events_[e.remap_src].kind != EventKind::kWpte) {
                 complain("Invlpg " + std::to_string(id) + ": bad remap source");
             } else {
@@ -415,7 +415,7 @@ Program::validate(bool vm_enabled) const
 
     // rmw pairs: same-thread, same-VA, Read immediately before Write.
     for (const auto& [r, w] : rmws_) {
-        if (r >= num_events() || w >= num_events() ||
+        if (r < 0 || w < 0 || r >= num_events() || w >= num_events() ||
             events_[r].kind != EventKind::kRead ||
             events_[w].kind != EventKind::kWrite) {
             complain("rmw: endpoints must be a Read and a Write");

@@ -179,7 +179,13 @@ execution_from_xml(const std::string& xml)
     if (!root || root->tag != "elt") {
         return std::nullopt;
     }
+    // The tools bound a program at 64 events, so more threads than that
+    // cannot all hold one; a larger (or negative) count is bad input, not
+    // an allocation request.
     const int threads = attr_int(*root, "threads", 0);
+    if (threads < 0 || threads > 64) {
+        return std::nullopt;
+    }
 
     Program program;
     for (int t = 0; t < threads; ++t) {
@@ -235,8 +241,10 @@ execution_from_xml(const std::string& xml)
         e.map_pa = attr_int(*element, "pa", kNone);
         e.parent = attr_int(*element, "parent", kNone);
         e.remap_src = attr_int(*element, "remap", kNone);
-        if (e.thread < 0 || e.thread >= threads) {
-            return std::nullopt;
+        if (e.thread < 0 || e.thread >= threads || e.va < kNone ||
+            e.va >= 64 || e.map_pa < kNone || e.map_pa >= 64 ||
+            e.remap_src < kNone) {
+            return std::nullopt;  // ids and addresses are kNone or small
         }
         if (is_ghost(e.kind) &&
             (e.parent < 0 || e.parent >= program.num_events())) {
@@ -257,8 +265,23 @@ execution_from_xml(const std::string& xml)
         program.add_rmw(r, w);
     }
 
+    for (EventId id = 0; id < program.num_events(); ++id) {
+        if (program.event(id).remap_src >= program.num_events()) {
+            return std::nullopt;
+        }
+    }
+
     Execution exec = Execution::empty_for(std::move(program));
     const int n = exec.program.num_events();
+    // Witness values index events (rf writers, walks) or order them (co
+    // positions): anything outside [kNone, n) is bad input, which derive
+    // would otherwise use as an index.
+    const auto in_range = [n](int value) { return value >= kNone && value < n; };
+    for (const Witness& w : witnesses) {
+        if (!in_range(w.write) || !in_range(w.walk) || !in_range(w.pos)) {
+            return std::nullopt;
+        }
+    }
     for (const Witness& w : witnesses) {
         if (w.tag == "rf" && w.read >= 0 && w.read < n) {
             exec.rf_src[w.read] = w.write;

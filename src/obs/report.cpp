@@ -60,10 +60,6 @@ append_scheduler(std::string* out, const std::string& indent,
     *out += "\n" + indent + "  ";
     append_kv(out, "steals", s.steals);
     *out += "\n" + indent + "  ";
-    append_kv(out, "lazy_resplits", s.lazy_resplits);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "closed_prefix_splits", s.closed_prefix_splits);
-    *out += "\n" + indent + "  ";
     append_kv(out, "skip_enumerations", s.skip_enumerations);
     *out += "\n" + indent + "  ";
     append_kv(out, "queue_wait_seconds", s.queue_wait_seconds);
@@ -76,13 +72,8 @@ append_scheduler(std::string* out, const std::string& indent,
     *out += "\n" + indent + "  ";
     append_kv(out, "checkpoint_shards_saved", s.checkpoint_shards_saved);
     *out += "\n" + indent + "  ";
-    append_kv(out, "checkpoint_shards_replayed", s.checkpoint_shards_replayed);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "observed_cost_resplits", s.observed_cost_resplits);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "resplit_threshold_min", s.resplit_threshold_min);
-    *out += "\n" + indent + "  ";
-    append_kv(out, "resplit_threshold_max", s.resplit_threshold_max, "");
+    append_kv(out, "checkpoint_shards_replayed", s.checkpoint_shards_replayed,
+              "");
     *out += "\n" + indent + "}";
 }
 

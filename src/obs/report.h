@@ -36,8 +36,8 @@ namespace transform::obs {
 /// percentiles) and alloc_count/alloc_bytes (phase-attributed allocation
 /// tracking); suites gained "alloc_sites" (call-site allocation buckets)
 /// and "failures" (quarantined-shard records, elt_check parity); scheduler
-/// objects gained observed_cost_resplits, resplit_threshold_min, and
-/// resplit_threshold_max (the observed-cost re-split feedback).
+/// objects gained the three counters of the observed-cost re-split
+/// feedback.
 /// v6: no key changed, their meaning did: the suites of one fused search
 /// share its "seconds", "complete" and "cancelled", and its run-level
 /// objects — "scheduler", "phases", "alloc_sites", "failures" — are
@@ -47,7 +47,10 @@ namespace transform::obs {
 /// v7: scheduler objects lost dedup_hits (deduplication moved to the
 /// merge; suites' duplicates_rejected counts what it drops), and a
 /// phase's p50_ns/p90_ns/p99_ns are null when it has no latency samples.
-inline constexpr int kMetricsSchemaVersion = 7;
+/// v8: scheduler objects lost the two lazy re-split counters and the three
+/// observed-cost feedback counters: the engine searches one static shard
+/// partition per event bound. skip_enumerations stays and reads 0.
+inline constexpr int kMetricsSchemaVersion = 8;
 
 /// One suite's slice of the report.
 struct SuiteReport {

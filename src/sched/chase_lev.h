@@ -8,8 +8,8 @@
 /// the last element, where a compare-exchange on `top` arbitrates. Under
 /// the v1 mutex deques every owner pop paid a lock; here the owner's fast
 /// path is three atomic operations with no contention, which is what lets
-/// shard granularity drop (adaptive re-splitting) without the dispatch
-/// overhead dominating the search.
+/// the engine cut the search into thousands of small shards without the
+/// dispatch overhead dominating the search.
 ///
 /// Deviation from the literature formulation: the published algorithm uses
 /// standalone `atomic_thread_fence`s, which ThreadSanitizer does not model

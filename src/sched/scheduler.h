@@ -9,9 +9,7 @@
 /// groups*. Each worker owns a lock-free Chase-Lev deque (owner pops LIFO,
 /// thieves steal FIFO); external submitters go through a small injection
 /// queue, and a running job may spawn follow-up jobs into the same group —
-/// the mechanism behind adaptive shard re-splitting in the synthesis
-/// engine, and the reason `synthesize_all_parallel` can feed every axiom's
-/// shards to one pool instead of spinning up per-axiom thread groups.
+/// how the synthesis engine re-enqueues a faulted shard for a retry.
 #pragma once
 
 #include <cstdint>
@@ -27,25 +25,17 @@ namespace transform::sched {
 
 /// Aggregate counters for a job group or a pool lifetime (the scheduler
 /// analogue of sat::SolverStats). The pool fills the scheduling fields; the
-/// synthesis engine adds the re-split / queue-wait / robustness fields before
+/// synthesis engine adds the queue-wait / robustness fields before
 /// surfacing the struct through SuiteResult and `elt_synth --stats`.
 struct SchedulerStats {
     int workers = 0;                 ///< worker threads in the pool
     std::uint64_t jobs_run = 0;      ///< jobs executed
     std::uint64_t steals = 0;        ///< jobs migrated by stealing
                                      ///< (Chase-Lev steals take one job)
-    /// Lazy in-search shard re-splits: a shard job abandoned its search at
-    /// the re-split threshold and resubmitted the remainder as children
-    /// (engine).
-    std::uint64_t lazy_resplits = 0;
-    /// The subset of lazy_resplits whose shard prefix had already closed
-    /// thread 0 — splits that constrain thread 1+ decisions (engine).
-    std::uint64_t closed_prefix_splits = 0;
-    /// Candidates enumerated but not searched while boundary children
-    /// replayed their ancestors' visited prefixes — the lazy design's only
-    /// repeated enumeration work. Skips compound down a re-split chain (a
-    /// child inherits its parent's unconsumed skip), so this is measured,
-    /// not modelled (engine).
+    /// Candidates enumerated twice because a shard job replayed part of
+    /// another's stream. The engine searches one static partition, whose
+    /// shards are disjoint, so it never does: always 0 (kept for readers
+    /// of the field).
     std::uint64_t skip_enumerations = 0;
     /// Wall time a suite's jobs spent queued on a shared pool before the
     /// first one ran (its deadline armed); excluded from
@@ -68,21 +58,10 @@ struct SchedulerStats {
     /// instead of re-searched.
     std::uint64_t checkpoint_shards_saved = 0;
     std::uint64_t checkpoint_shards_replayed = 0;
-    /// Observed-cost re-split feedback (engine,
-    /// SynthesisOptions::observed_cost_feedback): shard jobs whose armed
-    /// re-split threshold came from the run-time EWMA of observed
-    /// per-candidate cost rather than the static model, and the range of
-    /// thresholds armed across the group's jobs (0/0 when no job armed
-    /// one — fixed depth, explicit threshold, or shards too small to
-    /// split).
-    std::uint64_t observed_cost_resplits = 0;
-    std::uint64_t resplit_threshold_min = 0;
-    std::uint64_t resplit_threshold_max = 0;
 
     /// Accumulates another group's counters (per-suite totals in
     /// synthesize_all; `workers` and `queue_wait_seconds` — which overlap
-    /// across groups rather than add — take the maximum; the threshold
-    /// range widens).
+    /// across groups rather than add — take the maximum).
     void merge(const SchedulerStats& other);
 };
 
@@ -101,8 +80,8 @@ int resolve_jobs(int jobs);
 /// even on a shared pool.
 ///
 /// Thread-safety contract: make_group/submit/wait/stats are safe from any
-/// thread, including from inside a running job (self-submission is how
-/// adaptive re-splitting spawns child shards). The destructor joins the
+/// thread, including from inside a running job (self-submission is how a
+/// faulted shard is retried). The destructor joins the
 /// workers; every group must be wait()ed before the pool is destroyed.
 class WorkStealingPool {
   public:
@@ -172,7 +151,6 @@ class WorkStealingPool {
 
     /// Counters attributed to one group. The pool fills only `workers`,
     /// `jobs_run`, `steals`, and `job_faults`; the engine-owned fields —
-    /// `lazy_resplits`, `closed_prefix_splits`, `skip_enumerations`,
     /// `queue_wait_seconds`, `shard_retries`,
     /// `shards_quarantined`, and the checkpoint counters — stay 0 here and
     /// are filled by the synthesis engine into SuiteResult::scheduler.

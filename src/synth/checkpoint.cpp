@@ -16,12 +16,14 @@
 namespace transform::synth {
 namespace {
 
-/// v3: records carry per-axiom (programs, executions) counters and
+/// v4: records carry per-axiom (programs, executions) counters and
 /// axiom-tagged tests, since one task searches every axiom of a run; task
-/// ids hash the run's axioms; the checksum covers the record's header line
-/// as well as its payload. (v2 also journaled a duplicates counter per
-/// axiom and checksummed the payload only.)
-constexpr const char* kHeaderMagic = "transform-checkpoint v3";
+/// ids hash the run's axioms, the shard and its first ticket; the checksum
+/// covers the record's header line as well as its payload. (v3 also
+/// journaled split records — a visited count and a resume point — and
+/// hashed a ticket stride and skip into task ids; v2 also journaled a
+/// duplicates counter per axiom and checksummed the payload only.)
+constexpr const char* kHeaderMagic = "transform-checkpoint v4";
 constexpr const char* kMagicPrefix = "transform-checkpoint ";
 
 /// A record names at most this many axioms (an AxiomMask holds 32); a
@@ -302,10 +304,8 @@ CheckpointJournal::resume(const std::string& path,
         std::size_t axioms = 0;
         std::size_t payload_len = 0;
         std::uint64_t checksum = 0;
-        int split = 0;
-        if (!(head >> tag >> rec.task_id >> split >> rec.visited >>
-              rec.resume_decision >> rec.resume_skip >> axioms) ||
-            tag != "shard" || axioms > kMaxAxioms) {
+        if (!(head >> tag >> rec.task_id >> axioms) || tag != "shard" ||
+            axioms > kMaxAxioms) {
             break;
         }
         rec.counts.resize(axioms);
@@ -315,7 +315,6 @@ CheckpointJournal::resume(const std::string& path,
         if (!(head >> payload_len) || !(sum >> checksum)) {
             break;
         }
-        rec.split = split != 0;
         if (payload_len > contents.size() - (eol + 1)) {
             break;  // torn tail (the classic SIGKILL-mid-append case)
         }
@@ -363,9 +362,7 @@ CheckpointJournal::append(const ShardRecord& record)
 {
     const std::string payload = serialize_tests(record.tests);
     std::ostringstream framed;
-    framed << "shard " << record.task_id << ' ' << (record.split ? 1 : 0)
-           << ' ' << record.visited << ' ' << record.resume_decision << ' '
-           << record.resume_skip << ' ' << record.counts.size();
+    framed << "shard " << record.task_id << ' ' << record.counts.size();
     for (const AxiomCounts& counts : record.counts) {
         framed << ' ' << counts.programs << ' ' << counts.executions;
     }
@@ -397,8 +394,7 @@ CheckpointJournal::loaded() const
 
 std::uint64_t
 checkpoint_task_id(const std::vector<std::string>& axioms,
-                   const SkeletonShard& shard, std::uint64_t ticket_base,
-                   std::uint64_t ticket_stride, std::uint64_t skip)
+                   const SkeletonShard& shard, std::uint64_t ticket_base)
 {
     std::uint64_t h = fnv1a(kHeaderMagic, std::strlen(kHeaderMagic));
     h = fnv1a_u64(axioms.size(), h);
@@ -414,8 +410,6 @@ checkpoint_task_id(const std::vector<std::string>& axioms,
                       h);
     }
     h = fnv1a_u64(ticket_base, h);
-    h = fnv1a_u64(ticket_stride, h);
-    h = fnv1a_u64(skip, h);
     return h;
 }
 

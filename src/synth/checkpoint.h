@@ -3,14 +3,12 @@
 /// "Checkpoint/resume").
 ///
 /// `elt_synth --checkpoint <path>` journals every *completed* shard-search
-/// task: its per-axiom counters, its synthesized tests with their axioms
-/// (witnesses serialized through the exact-round-trip XML form), and — when
-/// the task abandoned its
-/// search at the re-split threshold — the resume point its children were
-/// derived from. `--resume` replays journaled tasks instead of
+/// task: its per-axiom counters and its synthesized tests with their axioms
+/// (witnesses serialized through the exact-round-trip XML form).
+/// `--resume` replays journaled tasks instead of
 /// re-searching them; tasks missing from the journal (in flight when the
 /// process died, or quarantined) are searched normally. Because the shard
-/// task tree and the min-ticket merge are pure functions of the options,
+/// partition and the min-ticket merge are pure functions of the options,
 /// the resumed suite is byte-identical to an uninterrupted run — proven by
 /// the kill-mid-run test in tests/fault_test.cpp.
 ///
@@ -57,12 +55,6 @@ class CheckpointJournal {
     /// A completed shard-search task, exactly as the engine executed it.
     struct ShardRecord {
         std::uint64_t task_id = 0;
-        /// True when the task abandoned its search at the re-split
-        /// threshold; visited/resume_* reproduce the child submission.
-        bool split = false;
-        std::uint64_t visited = 0;
-        int resume_decision = 0;
-        std::uint64_t resume_skip = 0;
         /// Per-axiom counters, in the run's axiom order.
         std::vector<AxiomCounts> counts;
         /// The task's accepted tests.
@@ -75,7 +67,7 @@ class CheckpointJournal {
 
     /// Starts a fresh journal at \p path, overwriting any previous one.
     /// \p fingerprint identifies the run configuration (model, bounds,
-    /// backend — anything that changes the task tree or the suites);
+    /// backend — anything that changes the partition or the suites);
     /// resume() refuses a journal whose fingerprint differs. Returns
     /// nullptr and fills \p error on I/O failure.
     static std::unique_ptr<CheckpointJournal> create(
@@ -112,14 +104,12 @@ class CheckpointJournal {
 
 /// Stable identity of one shard task within a run: a hash of the format
 /// version, the run's axioms, the shard's event bound and prefix, and the
-/// task's ticket range and skip. Stable across processes and scheduling
-/// (the task tree is a pure function of the options), which is what lets
+/// task's first ticket. Stable across processes and scheduling (the
+/// partition is a pure function of the options), which is what lets
 /// --resume match journaled records to the tasks it re-creates.
 std::uint64_t checkpoint_task_id(const std::vector<std::string>& axioms,
                                  const SkeletonShard& shard,
-                                 std::uint64_t ticket_base,
-                                 std::uint64_t ticket_stride,
-                                 std::uint64_t skip);
+                                 std::uint64_t ticket_base);
 
 /// The journal-fingerprint term identifying \p model: its name and a hash
 /// of its normalised `.mtm` source (spec::model_to_source), so a journal

@@ -14,20 +14,19 @@
 /// `synthesize_all_parallel` is one fused search: it walks the candidate
 /// stream once for every axiom of the model, sharing the skeleton and
 /// (enumerative backend) execution walk, and splits the results into
-/// per-axiom suites. Shard depth is adaptive by
-/// default: the engine starts from a coarse split and any shard job that
-/// visits more candidates than a cost-model threshold abandons its search
-/// lazily — in place, keeping the results already found — and resubmits
-/// the unsearched remainder as child shards (see docs/scheduler.md).
+/// per-axiom suites. The partition is static: each event bound is cut once,
+/// at shard_depth_for(bound) skeleton decisions, and every shard job
+/// searches its whole shard (see docs/scheduler.md).
 ///
 /// Determinism contract: for a run that completes within its time budget,
 /// the merged suite (tests, their order, and their witnesses) is identical
-/// for every `jobs` value and every shard-depth setting — the suite is
+/// for every `jobs` value and every partition depth — the suite is
 /// sorted by canonical key and every cross-shard duplicate is resolved
 /// toward the candidate earliest in the sequential enumeration order (see
 /// DESIGN.md, "Parallel synthesis runtime").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -67,7 +66,7 @@ enum class Backend {
 /// for asserting invariants (use SuiteResult for settled numbers).
 struct SynthesisProgress {
     std::uint64_t shards_done = 0;       ///< shard jobs completed
-    std::uint64_t shards_submitted = 0;  ///< grows with lazy re-splits
+    std::uint64_t shards_submitted = 0;  ///< fixed at launch; +1 per retry
     std::uint64_t candidates = 0;        ///< programs considered so far
     std::uint64_t tests_found = 0;       ///< pre-merge accepted witnesses
     std::uint64_t checkpoint_shards_saved = 0;
@@ -104,39 +103,6 @@ struct SynthesisOptions {
 
     int jobs = 1;  ///< scheduler workers; 0 = one per hardware thread
 
-    /// Shard granularity: 0 (default) = adaptive — start from a depth-1
-    /// prefix split and lazily re-split any shard whose search visits more
-    /// than the re-split threshold's worth of candidates; N >= 1 = fixed
-    /// prefix depth N, no re-splitting. The synthesized suite is identical
-    /// for every setting.
-    int shard_depth = 0;
-
-    /// Adaptive mode only: a shard job that visits this many candidates
-    /// with more remaining abandons its search in place — already-visited
-    /// candidates keep their results and tickets — and resubmits the
-    /// unsearched remainder as split_shard children (closed-prefix shards
-    /// split on thread 1+ decisions, so deep re-splits never dead-end).
-    /// 0 (default) selects a cost model that shrinks the threshold as the
-    /// per-candidate evaluation cost grows with the bound / VM / dirty-bit
-    /// mix, refined at run time by observed_cost_feedback below. An
-    /// explicit threshold keeps the trigger a deterministic candidate
-    /// count, so the re-split tree — and with it jobs_run / lazy_resplits
-    /// — is a pure function of the options, not of scheduling.
-    std::uint64_t resplit_threshold = 0;
-
-    /// Adaptive mode with resplit_threshold == 0 only: feed an EWMA of
-    /// each completed shard job's observed per-candidate nanos (keyed by
-    /// event bound) back into the re-split threshold, so expensive bounds
-    /// split earlier than the static cost model would and cheap ones
-    /// later. The SUITE is byte-identical either way — thresholds only
-    /// move work between jobs, never change tickets' order or the merge
-    /// (the long-standing every-threshold determinism contract) — but
-    /// job-tree counters (jobs_run, lazy_resplits) become timing-dependent,
-    /// which is why explicit-threshold runs ignore this knob. Chosen
-    /// thresholds surface in SchedulerStats::resplit_threshold_min/max and
-    /// the trace's counter track.
-    bool observed_cost_feedback = true;
-
     /// Observability (src/obs/, docs/observability.md). Both knobs are
     /// purely observational: they never influence search order, tickets, or
     /// the merge, so the determinism contract holds with them on or off
@@ -165,8 +131,8 @@ struct SynthesisOptions {
     std::function<void(const SynthesisProgress&)> progress;
     double progress_interval_seconds = 2.0;
 
-    /// When non-null, shard jobs / suites / re-split lineage are recorded
-    /// as spans, async spans, and flow arrows. The collector must have at
+    /// When non-null, shard jobs and the search are recorded as spans and
+    /// an async span. The collector must have at
     /// least resolve_jobs(jobs) worker lanes plus the main lane and must
     /// outlive the synthesis call. nullptr (default) disables recording.
     obs::TraceCollector* trace = nullptr;
@@ -284,8 +250,8 @@ struct SuiteResult {
 /// executions can violate \p axiom_name, over all sizes in
 /// [min_bound, bound]: a search of the axiom's pruned candidate stream
 /// (engine_skeleton_options). Builds a private options.jobs-worker pool for
-/// the run; the resulting suite is independent of the worker count and the
-/// shard depth (see the determinism contract above). Thread-safe for
+/// the run; the resulting suite is independent of the worker count (see
+/// the determinism contract above). Thread-safe for
 /// concurrent calls with distinct models.
 SuiteResult synthesize_suite(const mtm::Model& model,
                              const std::string& axiom_name,
@@ -329,26 +295,22 @@ SkeletonOptions engine_skeleton_options(const mtm::Model& model,
 /// engine_skeleton_options) so replays of the engine's scheduling
 /// decisions stay faithful rather than hand-copied.
 ///
-/// Ticket stride between top-level shards: ticket = base + position, so
-/// ticket order across all shards equals the sequential enumeration order.
+/// Ticket stride between shards: ticket = shard index * stride + position
+/// in the shard, so ticket order across all shards equals the sequential
+/// enumeration order.
 inline constexpr std::uint64_t kTicketStride = std::uint64_t{1} << 40;
 
-/// Re-splitting stops once the child stride would drop below this — a
-/// leaf must still be able to number every candidate it holds without
-/// bleeding into its sibling's range.
-inline constexpr std::uint64_t kMinLeafStride = std::uint64_t{1} << 22;
-
-/// When a shard is re-split, each resubmitted child receives a sub-range
-/// of the remaining ticket space: the stride divided by the child count
-/// rounded up to a power of two.
-constexpr std::uint64_t
-child_stride_for(std::uint64_t parent_stride, std::size_t children)
+/// The skeleton-prefix depth each event bound is partitioned at: one
+/// decision up to 5 events, one more per event after that, at most 4. A
+/// constant rule, so the shard jobs (and the checkpoint journal's task
+/// ids) are a pure function of the options. Small bounds hold few
+/// programs per shard, so a deeper cut there only multiplies per-job
+/// framing; large bounds need the deeper cut so that no single shard
+/// holds a large share of the work.
+constexpr int
+shard_depth_for(int size)
 {
-    int shift = 0;
-    while ((std::size_t{1} << shift) < children) {
-        ++shift;
-    }
-    return parent_stride >> shift;
+    return std::clamp(size - 4, 1, 4);
 }
 
 }  // namespace transform::synth

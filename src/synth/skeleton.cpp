@@ -40,7 +40,7 @@ struct Draft {
     std::vector<std::vector<SlotInfo>> threads;
 };
 
-/// The enumerator's interrupt poll (search_skeletons' \p interrupt). A
+/// The enumerator's interrupt poll (for_each_skeleton's \p interrupt). A
 /// stretch of the decision tree can run for seconds without emitting a
 /// candidate (structures pruned at linking, VA assignments failing their
 /// constraints), so the hook is polled every kPollInterval ticks of that
@@ -63,8 +63,6 @@ class Poller {
         fired_ = hook_();
         return fired_;
     }
-
-    bool fired() const { return fired_; }
 
   private:
     static constexpr std::uint32_t kPollInterval = 1024;
@@ -599,88 +597,32 @@ constexpr int kFreeChoice = -2;
 /// threads — restricting the search to one SkeletonShard; the visit order
 /// within the shard is unchanged, so shards in partition order concatenate
 /// to the full enumeration stream.
-///
-/// The enumerator is also the engine's lazily-splittable search: the first
-/// \p skip candidates are enumerated but not passed to the visitor, and a
-/// non-zero \p limit stops the pass at the (limit+1)-th candidate,
-/// reporting which split_shard child the unconsumed remainder starts in
-/// (the decision taken at depth prefix.size()) and how many consumed
-/// candidates that child must skip on resume.
 class SlotEnumerator {
   public:
     SlotEnumerator(const SkeletonOptions& opt, std::vector<int> prefix,
-                   std::uint64_t skip, std::uint64_t limit,
                    const std::function<bool(const Program&)>& visit,
                    const std::function<bool()>& interrupt)
-        : opt_(opt), prefix_(std::move(prefix)), skip_(skip), limit_(limit),
-          visit_(visit), poller_(interrupt),
-          slots_(available_slots(opt)),
-          sink_([this](const Program& p) { return consume(p); })
+        : opt_(opt), prefix_(std::move(prefix)), visit_(visit),
+          poller_(interrupt), slots_(available_slots(opt))
     {
     }
 
-    ShardSearchStop
+    /// False when the visitor or the interrupt stopped the pass.
+    bool
     run()
     {
         Draft draft;
-        enumerate_threads(draft, opt_.num_events);
-        ShardSearchStop stop;
-        stop.hit_limit = hit_limit_;
-        stop.visitor_stopped = visitor_stopped_ || poller_.fired();
-        stop.visited = visited_;
-        stop.skipped = consumed_ - visited_;
-        stop.resume_decision = boundary_decision_;
-        stop.resume_skip = boundary_consumed_;
-        return stop;
+        return enumerate_threads(draft, opt_.num_events);
     }
 
   private:
-    /// Filters every emitted program through the skip/limit machinery.
-    /// Candidate order is depth-first over the decision tree, so all
-    /// candidates sharing a depth-|prefix| decision are contiguous and the
-    /// boundary counters below identify the resume point exactly.
+    /// Takes one structural decision. Returns false, taking none, once the
+    /// interrupt fired: the caller unwinds as from a visitor stop.
     bool
-    consume(const Program& program)
-    {
-        if (consumed_ < skip_) {
-            // The skip replay never reaches the visitor, so the caller's
-            // stop conditions (a deadline, typically) are polled here.
-            if (poller_.interrupted()) {
-                return false;
-            }
-            ++consumed_;
-            ++boundary_consumed_;
-            return true;
-        }
-        if (limit_ > 0 && visited_ >= limit_) {
-            hit_limit_ = true;  // this candidate stays unconsumed
-            return false;
-        }
-        ++consumed_;
-        ++boundary_consumed_;
-        ++visited_;
-        if (!visit_(program)) {
-            visitor_stopped_ = true;
-            return false;
-        }
-        return true;
-    }
-
-    /// Records the decision taken at the current depth. The depth-|prefix|
-    /// decision point is a single tree node (every shallower decision is
-    /// forced by the prefix), so each of its child subtrees is entered
-    /// exactly once and resetting the boundary counter here is sound.
-    /// Returns false, taking no decision, once the interrupt fired: the
-    /// caller unwinds as from a visitor stop.
-    bool
-    begin_decision(int decision)
+    begin_decision()
     {
         if (poller_.interrupted()) {
             return false;
-        }
-        if (depth_ == prefix_.size()) {
-            boundary_decision_ = decision;
-            boundary_consumed_ = 0;
         }
         ++depth_;
         return true;
@@ -699,7 +641,7 @@ class SlotEnumerator {
             if (opt_.require_shared_walk && !has_possible_hit(draft)) {
                 return true;  // prune: tlb_causality needs a shared entry
             }
-            Linker linker(&draft, opt_, sink_, &pool_, &poller_);
+            Linker linker(&draft, opt_, visit_, &pool_, &poller_);
             return linker.run();
         }
         if (static_cast<int>(draft.threads.size()) >= opt_.max_threads ||
@@ -717,8 +659,7 @@ class SlotEnumerator {
     {
         // Shard replay: decisions up to the prefix length are forced
         // instead of enumerated. The depth counter runs across threads, so
-        // a prefix may reach past a kCloseThread into thread 1+ decisions
-        // (closed-prefix shards).
+        // a prefix may reach past a kCloseThread into thread 1+ decisions.
         const int forced =
             depth_ < prefix_.size() ? prefix_[depth_] : kFreeChoice;
         // Option: close this thread (it must be non-empty) and open the next.
@@ -729,7 +670,7 @@ class SlotEnumerator {
             if (k < 2 ||
                 slot_signature(draft.threads[k - 2]) >=
                     slot_signature(draft.threads[k - 1])) {
-                if (!begin_decision(kCloseThread)) {
+                if (!begin_decision()) {
                     return false;
                 }
                 const bool keep = enumerate_threads(draft, remaining);
@@ -751,7 +692,7 @@ class SlotEnumerator {
             if (w > remaining) {
                 continue;
             }
-            if (!begin_decision(static_cast<int>(si))) {
+            if (!begin_decision()) {
                 return false;
             }
             draft.threads.back().push_back({s});
@@ -783,30 +724,13 @@ class SlotEnumerator {
 
     const SkeletonOptions& opt_;
     std::vector<int> prefix_;
-    const std::uint64_t skip_;
-    const std::uint64_t limit_;
     const std::function<bool(const Program&)>& visit_;
     Poller poller_;
     std::vector<Slot> slots_;
-    std::function<bool(const Program&)> sink_;  ///< skip/limit wrapper
     MaterializePool pool_;  ///< candidate Program + placement, reused
 
-    std::size_t depth_ = 0;         ///< decisions made on the current path
-    std::uint64_t consumed_ = 0;    ///< skipped + visited candidates
-    std::uint64_t visited_ = 0;
-    std::uint64_t boundary_consumed_ = 0;
-    int boundary_decision_ = kCloseThread;
-    bool hit_limit_ = false;
-    bool visitor_stopped_ = false;
+    std::size_t depth_ = 0;  ///< decisions made on the current path
 };
-
-}  // namespace
-
-namespace {
-
-/// Shared empty interrupt for the unlimited entry points (a per-call
-/// temporary would dangle: the enumerator holds a reference through run()).
-const std::function<bool()> kNoInterrupt;
 
 }  // namespace
 
@@ -814,28 +738,15 @@ bool
 for_each_skeleton(const SkeletonOptions& options,
                   const std::function<bool(const Program&)>& visit)
 {
-    SlotEnumerator enumerator(options, {}, /*skip=*/0, /*limit=*/0, visit,
-                              kNoInterrupt);
-    return !enumerator.run().visitor_stopped;
+    return for_each_skeleton(SkeletonShard{options, {}}, visit);
 }
 
 bool
 for_each_skeleton(const SkeletonShard& shard,
-                  const std::function<bool(const Program&)>& visit)
+                  const std::function<bool(const Program&)>& visit,
+                  const std::function<bool()>& interrupt)
 {
-    SlotEnumerator enumerator(shard.options, shard.prefix, /*skip=*/0,
-                              /*limit=*/0, visit, kNoInterrupt);
-    return !enumerator.run().visitor_stopped;
-}
-
-ShardSearchStop
-search_skeletons(const SkeletonShard& shard, std::uint64_t skip,
-                 std::uint64_t limit,
-                 const std::function<bool(const Program&)>& visit,
-                 const std::function<bool()>& interrupt)
-{
-    SlotEnumerator enumerator(shard.options, shard.prefix, skip, limit,
-                              visit, interrupt);
+    SlotEnumerator enumerator(shard.options, shard.prefix, visit, interrupt);
     return enumerator.run();
 }
 
@@ -865,22 +776,29 @@ meets_requirements(const Program& program, const SkeletonOptions& options)
     return wpte && hit;
 }
 
+int
+unpinned_events(const SkeletonShard& shard)
+{
+    const std::vector<Slot> slots = available_slots(shard.options);
+    int used = 0;
+    for (const int ordinal : shard.prefix) {
+        if (ordinal != kCloseThread) {
+            used += weight(slots[static_cast<std::size_t>(ordinal)],
+                           shard.options);
+        }
+    }
+    return shard.options.num_events - used;
+}
+
 std::vector<SkeletonShard>
 split_shard(const SkeletonShard& shard)
 {
     std::vector<SkeletonShard> children;
     const std::vector<Slot> slots = available_slots(shard.options);
-    int used = 0;
-    int closed_threads = 0;
-    for (const int ordinal : shard.prefix) {
-        if (ordinal == kCloseThread) {
-            ++closed_threads;
-        } else {
-            used += weight(slots[static_cast<std::size_t>(ordinal)],
-                           shard.options);
-        }
-    }
-    const int remaining = shard.options.num_events - used;
+    const int closed_threads = static_cast<int>(
+        std::count(shard.prefix.begin(), shard.prefix.end(), kCloseThread));
+    const int remaining = unpinned_events(shard);
+    const int used = shard.options.num_events - remaining;
     const bool thread_open =
         !shard.prefix.empty() && shard.prefix.back() != kCloseThread;
     if (!thread_open) {

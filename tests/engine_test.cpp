@@ -189,8 +189,7 @@ TEST(FusedSearch, MatchesThePerAxiomWalksOnEveryZooModel)
 {
     // synthesize_all_parallel walks one candidate stream for every axiom;
     // synthesize_all walks each axiom's own pruned stream. The suites must
-    // be the same at every worker count, shard depth (adaptive with a
-    // threshold small enough to re-split) and backend: tests, witnesses
+    // be the same at every worker count and backend: tests, witnesses
     // and every counter. Every candidate is searched and duplicates are
     // dropped at the merge, so no counter depends on scheduling.
     for (const spec::RegistryEntry& entry : spec::registry_entries()) {
@@ -205,36 +204,30 @@ TEST(FusedSearch, MatchesThePerAxiomWalksOnEveryZooModel)
             const std::vector<SuiteResult> reference =
                 synthesize_all(model, opt);
             for (const int jobs : {1, 2, 4}) {
-                for (const int depth : {0, 1, 2}) {
-                    SynthesisOptions fused_opt = opt;
-                    fused_opt.jobs = jobs;
-                    fused_opt.shard_depth = depth;
-                    fused_opt.resplit_threshold = depth == 0 ? 32 : 0;
-                    const std::vector<SuiteResult> fused =
-                        synthesize_all_parallel(model, fused_opt);
-                    ASSERT_EQ(fused.size(), reference.size());
-                    for (std::size_t i = 0; i < fused.size(); ++i) {
-                        const std::string where =
-                            std::string(entry.name) + " " +
-                            reference[i].axiom +
-                            (backend == Backend::kSat ? " sat" : " enum") +
-                            " jobs=" + std::to_string(jobs) +
-                            " depth=" + std::to_string(depth);
-                        EXPECT_EQ(fused[i].axiom, reference[i].axiom);
-                        EXPECT_TRUE(fused[i].complete) << where;
-                        EXPECT_EQ(tests_fingerprint(fused[i]),
-                                  tests_fingerprint(reference[i]))
-                            << where;
-                        EXPECT_EQ(fused[i].programs_considered,
-                                  reference[i].programs_considered)
-                            << where;
-                        EXPECT_EQ(fused[i].executions_considered,
-                                  reference[i].executions_considered)
-                            << where;
-                        EXPECT_EQ(fused[i].duplicates_rejected,
-                                  reference[i].duplicates_rejected)
-                            << where;
-                    }
+                SynthesisOptions fused_opt = opt;
+                fused_opt.jobs = jobs;
+                const std::vector<SuiteResult> fused =
+                    synthesize_all_parallel(model, fused_opt);
+                ASSERT_EQ(fused.size(), reference.size());
+                for (std::size_t i = 0; i < fused.size(); ++i) {
+                    const std::string where =
+                        std::string(entry.name) + " " + reference[i].axiom +
+                        (backend == Backend::kSat ? " sat" : " enum") +
+                        " jobs=" + std::to_string(jobs);
+                    EXPECT_EQ(fused[i].axiom, reference[i].axiom);
+                    EXPECT_TRUE(fused[i].complete) << where;
+                    EXPECT_EQ(tests_fingerprint(fused[i]),
+                              tests_fingerprint(reference[i]))
+                        << where;
+                    EXPECT_EQ(fused[i].programs_considered,
+                              reference[i].programs_considered)
+                        << where;
+                    EXPECT_EQ(fused[i].executions_considered,
+                              reference[i].executions_considered)
+                        << where;
+                    EXPECT_EQ(fused[i].duplicates_rejected,
+                              reference[i].duplicates_rejected)
+                        << where;
                 }
             }
         }

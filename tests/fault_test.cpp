@@ -413,31 +413,26 @@ TEST(FaultMatrix, TransientFaultsPreserveTheSuiteAtEverySite)
     ASSERT_FALSE(baseline.empty());
     const char* sites[] = {"shard_boundary", "derive", "judge"};
     for (const char* site : sites) {
-        for (const int jobs : {1, 2, 4}) {
-            for (const int depth : {0, 2}) {
-                util::FaultPlan plan;
-                std::string error;
-                ASSERT_TRUE(util::FaultPlan::parse(
-                    std::string("seed=7,site=") + site +
-                        ",rate=1,mode=transient",
-                    &plan, &error))
-                    << error;
-                synth::SynthesisOptions opt = small_options(4, 4);
-                opt.jobs = jobs;
-                opt.shard_depth = depth;
-                opt.fault_plan = &plan;
-                const synth::SuiteResult suite =
-                    synth::synthesize_suite(model, "invlpg", opt);
-                const std::string label = std::string(site) + " jobs=" +
-                                          std::to_string(jobs) + " depth=" +
-                                          std::to_string(depth);
-                EXPECT_TRUE(suite.complete) << label;
-                EXPECT_FALSE(suite.cancelled) << label;
-                EXPECT_TRUE(suite.failures.empty()) << label;
-                EXPECT_GT(plan.fired(), 0u) << label;
-                EXPECT_GT(suite.scheduler.shard_retries, 0u) << label;
-                EXPECT_EQ(suite_fingerprint(suite), baseline) << label;
-            }
+        for (const int jobs : {1, 2, 4, 8}) {
+            util::FaultPlan plan;
+            std::string error;
+            ASSERT_TRUE(util::FaultPlan::parse(
+                std::string("seed=7,site=") + site + ",rate=1,mode=transient",
+                &plan, &error))
+                << error;
+            synth::SynthesisOptions opt = small_options(4, 4);
+            opt.jobs = jobs;
+            opt.fault_plan = &plan;
+            const synth::SuiteResult suite =
+                synth::synthesize_suite(model, "invlpg", opt);
+            const std::string label =
+                std::string(site) + " jobs=" + std::to_string(jobs);
+            EXPECT_TRUE(suite.complete) << label;
+            EXPECT_FALSE(suite.cancelled) << label;
+            EXPECT_TRUE(suite.failures.empty()) << label;
+            EXPECT_GT(plan.fired(), 0u) << label;
+            EXPECT_GT(suite.scheduler.shard_retries, 0u) << label;
+            EXPECT_EQ(suite_fingerprint(suite), baseline) << label;
         }
     }
 }
@@ -583,7 +578,6 @@ TEST(Checkpoint, ResumeReplaysAFusedSearchByteIdentically)
     ASSERT_NE(journal, nullptr) << error;
     synth::SynthesisOptions opt = small_options(4, 5);
     opt.jobs = 2;
-    opt.resplit_threshold = 64;  // journal split records too
     opt.checkpoint = journal.get();
     const std::vector<synth::SuiteResult> first =
         synth::synthesize_all_parallel(model, opt);
@@ -640,15 +634,16 @@ TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
 {
     // Format v1 journaled one axiom's counters per record and untagged
     // tests; v2 journaled a duplicates counter per axiom and checksummed
-    // the payload only. Read as v3 either would be misparsed, so resume
-    // refuses them by their header — and elt_synth exits 2 (bad input),
-    // not 1 (I/O).
+    // the payload only; v3 journaled split records and hashed ticket
+    // strides and skips into task ids. Read as v4 any of them would be
+    // misparsed, so resume refuses them by their header — and elt_synth
+    // exits 2 (bad input), not 1 (I/O).
     const std::string fingerprint =
         synth::model_fingerprint(mtm::x86t_elt()) +
-        " bound=4 threads=2 vas=2 backend=enum shard-depth=0 "
-        "resplit-threshold=0";
+        " axioms=invlpg bound=4 threads=2 vas=2 backend=enum";
     for (const std::string format :
-         {"transform-checkpoint v1", "transform-checkpoint v2"}) {
+         {"transform-checkpoint v1", "transform-checkpoint v2",
+          "transform-checkpoint v3"}) {
         const std::string path = temp_path("old_format.journal");
         {
             std::ofstream out(path, std::ios::binary);
@@ -674,8 +669,8 @@ TEST(Checkpoint, ResumeRefusesAJournalOfThePreviousFormat)
 #if defined(__linux__) && defined(TRANSFORM_ELT_SYNTH)
 TEST(Checkpoint, CorruptedJournalResumesCleanlyOrExitsTwo)
 {
-    // A seeded byte-mutation pass over a real journal with split records:
-    // truncations, byte flips anywhere, and digit changes in the journal
+    // A seeded byte-mutation pass over a real journal: truncations, byte
+    // flips anywhere, and digit changes in the journal
     // header and record lines (their numbers steer the replay and carry
     // the counters). Every mutant either resumes (dropping what it cannot
     // verify) to the uninterrupted run's suite and counters with exit 0,
@@ -685,7 +680,7 @@ TEST(Checkpoint, CorruptedJournalResumesCleanlyOrExitsTwo)
     const std::string base_out = temp_path("mutant_base.txt");
     const std::string command =
         std::string(TRANSFORM_ELT_SYNTH) +
-        " --axiom invlpg --bound 5 --resplit-threshold 64 --quiet";
+        " --axiom invlpg --bound 5 --quiet";
     // stdout (the suite) and the summary line without its wall time.
     const auto outcome = [](const std::string& out, const std::string& err) {
         std::ifstream suite(out), log(err);

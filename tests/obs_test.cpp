@@ -1,8 +1,8 @@
 /// \file
 /// Tests for the observability layer (src/obs/): the phase-attributed
 /// MetricsRegistry (exact merges under concurrent hammering, out-of-range
-/// drops), the TraceCollector (valid Chrome trace JSON, paired flow
-/// arrows, bounded rings), the metrics-JSON report, the scheduler's job
+/// drops), the TraceCollector (valid Chrome trace JSON, bounded rings),
+/// the metrics-JSON report, the scheduler's job
 /// spans — and the layer's central promise: turning observability on
 /// changes NOTHING about the synthesized suites (byte-identical
 /// fingerprints across backends and job counts, obs on vs off).
@@ -252,9 +252,6 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     trace.record_complete(0, "span \"quoted\"", t0, t0 + 1000,
                           {{"visited", 7}});
     trace.record_instant(1, "marker", t0 + 500);
-    const std::uint64_t flow = trace.next_flow_id();
-    trace.record_flow_start(0, flow, t0 + 600);
-    trace.record_flow_end(1, flow, t0 + 700);
     trace.record_async_begin(trace.main_lane(), "suite x", 42, t0);
     trace.record_async_end(trace.main_lane(), "suite x", 42, t0 + 2000);
 
@@ -264,8 +261,6 @@ TEST(TraceCollector, ChromeJsonIsValidAndCarriesEveryKind)
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 3);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"i\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"s\""), 1);
-    EXPECT_EQ(count_occurrences(json, "\"ph\":\"f\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"b\""), 1);
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"e\""), 1);
     EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
@@ -395,44 +390,27 @@ TEST(ObsDeterminism, SuitesAreByteIdenticalWithObservabilityOnOrOff)
 
 TEST(ObsDeterminism, SuitesAreByteIdenticalAcrossInstrumentationMatrix)
 {
-    // The PR-10 extension of the on/off contract: alloc tracking and the
-    // observed-cost re-split feedback are purely observational too. The
-    // reference is a bare 1-job run; every (jobs, shard-depth, backend)
-    // cell runs with metrics + alloc tracking + feedback armed (feedback
-    // is live only at depth 0 with an auto threshold — exactly the cell
-    // where timing-driven thresholds could, if buggy, perturb the merge).
+    // The on/off contract extends to alloc tracking: it is purely
+    // observational too. The reference is a bare 1-job run; every (jobs,
+    // backend) cell runs with metrics + alloc tracking armed.
     const mtm::Model model = mtm::x86t_elt();
     for (const synth::Backend backend :
          {synth::Backend::kEnumerative, synth::Backend::kSat}) {
         const synth::SuiteResult reference = synth::synthesize_suite(
             model, "invlpg", obs_options(1, backend));
         EXPECT_FALSE(reference.tests.empty());
-        for (const int jobs : {1, 2, 4}) {
-            for (const int depth : {0, 1, 2}) {
-                synth::SynthesisOptions instrumented =
-                    obs_options(jobs, backend);
-                instrumented.shard_depth = depth;
-                instrumented.collect_metrics = true;
-                instrumented.track_allocs = true;
-                instrumented.observed_cost_feedback = true;
-                const synth::SuiteResult observed =
-                    synth::synthesize_suite(model, "invlpg",
-                                            instrumented);
-                EXPECT_EQ(suite_fingerprint(reference),
-                          suite_fingerprint(observed))
-                    << "backend=" << static_cast<int>(backend)
-                    << " jobs=" << jobs << " depth=" << depth;
-                EXPECT_GT(observed.allocs.total_count(), 0u);
-            }
+        for (const int jobs : {1, 2, 4, 8}) {
+            synth::SynthesisOptions instrumented = obs_options(jobs, backend);
+            instrumented.collect_metrics = true;
+            instrumented.track_allocs = true;
+            const synth::SuiteResult observed =
+                synth::synthesize_suite(model, "invlpg", instrumented);
+            EXPECT_EQ(suite_fingerprint(reference),
+                      suite_fingerprint(observed))
+                << "backend=" << static_cast<int>(backend)
+                << " jobs=" << jobs;
+            EXPECT_GT(observed.allocs.total_count(), 0u);
         }
-        // Feedback off is the other half of the on/off matrix.
-        synth::SynthesisOptions no_feedback = obs_options(2, backend);
-        no_feedback.observed_cost_feedback = false;
-        no_feedback.track_allocs = true;
-        const synth::SuiteResult cold = synth::synthesize_suite(
-            model, "invlpg", no_feedback);
-        EXPECT_EQ(suite_fingerprint(reference), suite_fingerprint(cold));
-        EXPECT_EQ(cold.scheduler.observed_cost_resplits, 0u);
     }
 }
 
@@ -483,23 +461,21 @@ TEST(ObsEngine, SatBackendAggregatesSolverStatsPerSuite)
     EXPECT_GT(timed.phases.count(obs::Phase::kSatEncode), 0u);
 }
 
-TEST(ObsEngine, ResplitLineageShowsUpAsPairedFlowArrows)
+TEST(ObsEngine, TraceHasOneShardSpanPerJob)
 {
     const mtm::Model model = mtm::x86t_elt();
     synth::SynthesisOptions options =
         obs_options(4, synth::Backend::kEnumerative);
-    options.resplit_threshold = 50;  // force lazy re-splitting
     obs::TraceCollector trace(sched::resolve_jobs(options.jobs));
     options.trace = &trace;
     const synth::SuiteResult suite =
         synth::synthesize_suite(model, "sc_per_loc", options);
-    EXPECT_GT(suite.scheduler.lazy_resplits, 0u);
     const std::string json = trace.chrome_json();
     EXPECT_TRUE(is_valid_json(json));
-    const int starts = count_occurrences(json, "\"ph\":\"s\"");
-    const int ends = count_occurrences(json, "\"ph\":\"f\"");
-    EXPECT_GT(starts, 0);
-    EXPECT_EQ(starts, ends) << "every re-split arrow must have both ends";
+    EXPECT_EQ(trace.dropped(), 0u);
+    EXPECT_GT(suite.scheduler.jobs_run, 0u);
+    EXPECT_EQ(count_occurrences(json, "\"name\":\"shard sc_per_loc\""),
+              static_cast<int>(suite.scheduler.jobs_run));
 }
 
 // ---------------------------------------------------------------------------
@@ -577,7 +553,7 @@ TEST(ObsEngine, IncrementalSatSurfacesSessionCounters)
     EXPECT_GT(reuse.solver.bases_reused, 0u);
 }
 
-TEST(ObsReport, SolverSessionCountersAppearInSchemaV7Json)
+TEST(ObsReport, SolverSessionCountersAppearInSchemaV8Json)
 {
     // The three incremental counters moved the schema to v2; the base
     // cache's bases_built/bases_reused (and the "relax" phase) moved it
@@ -586,10 +562,11 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV7Json)
     // array, and observed-cost re-split counters moved it to v5; the
     // fused search's run-level counters (on the first suite) moved it to
     // v6 without a key change; dropping dedup_hits and writing null
-    // percentiles for unsampled phases moved it to v7. Pin the version
-    // and the exact keys so a silent rename or removal fails here rather
-    // than in a downstream consumer.
-    EXPECT_EQ(obs::kMetricsSchemaVersion, 7);
+    // percentiles for unsampled phases moved it to v7; dropping the
+    // re-split counters (one static shard partition) moved it to v8. Pin
+    // the version and the exact keys so a silent rename or removal fails
+    // here rather than in a downstream consumer.
+    EXPECT_EQ(obs::kMetricsSchemaVersion, 8);
 
     const mtm::Model model = mtm::x86t_elt();
     obs::RunReport report;
@@ -606,8 +583,17 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV7Json)
 
     const std::string json = obs::report_to_json(report);
     EXPECT_TRUE(is_valid_json(json)) << json;
-    EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
     EXPECT_EQ(count_occurrences(json, "\"dedup_hits\""), 0);
+    for (const char* gone : {"lazy_resplits", "closed_prefix_splits",
+                             "observed_cost_resplits",
+                             "resplit_threshold_min",
+                             "resplit_threshold_max"}) {
+        EXPECT_EQ(count_occurrences(json, std::string("\"") + gone + "\""),
+                  0)
+            << gone;
+    }
+    EXPECT_EQ(count_occurrences(json, "\"skip_enumerations\""), 2);
     // Each solver object (one per suite, one in totals) carries the keys.
     EXPECT_EQ(count_occurrences(json, "\"assumed_literals\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"retired_activations\""), 2);
@@ -631,13 +617,9 @@ TEST(ObsReport, SolverSessionCountersAppearInSchemaV7Json)
               2 * obs::kPhaseCount);
     EXPECT_EQ(count_occurrences(json, "\"alloc_bytes\""),
               2 * obs::kPhaseCount);
-    // v5: the site table, the failures array, and the observed-cost
-    // re-split counters, once per suite object / scheduler object.
+    // v5: the site table and the failures array, once per suite object.
     EXPECT_EQ(count_occurrences(json, "\"alloc_sites\""), 2);
     EXPECT_EQ(count_occurrences(json, "\"failures\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"observed_cost_resplits\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"resplit_threshold_min\""), 2);
-    EXPECT_EQ(count_occurrences(json, "\"resplit_threshold_max\""), 2);
     for (int s = 0; s < obs::kAllocSiteCount; ++s) {
         EXPECT_NE(json.find(obs::alloc_site_name(
                       static_cast<obs::AllocSite>(s))),
@@ -887,13 +869,30 @@ TEST(ObsTool, SolverStatsPrintSolveTimeOnlyWhenTimed)
 
 TEST(ObsTool, ProgressHeartbeatPrintsNoEta)
 {
-    // Lazy re-splits keep adding shards, so the shard completion ratio
+    // Shards differ widely in cost, so the shard completion ratio
     // predicts no finishing time: the heartbeat reports progress only.
+    // The shard count is fixed when the search starts: the final
+    // heartbeat reports every submitted shard done, and as many shards as
+    // the scheduler ran jobs.
     const std::string out = elt_synth_stderr(
-        "--all --bound 5 --jobs 2 --resplit-threshold 64 --progress --quiet");
-    EXPECT_NE(out.find("[progress] "), std::string::npos) << out;
+        "--all --bound 5 --jobs 2 --progress --stats --quiet");
     EXPECT_NE(out.find(" elapsed"), std::string::npos) << out;
     EXPECT_EQ(out.find("ETA"), std::string::npos) << out;
+    const std::size_t last = out.rfind("[progress] ");
+    ASSERT_NE(last, std::string::npos) << out;
+    const std::size_t at = out.find(": shards ", last);
+    ASSERT_NE(at, std::string::npos) << out;
+    unsigned long long done = 0;
+    unsigned long long submitted = 0;
+    ASSERT_EQ(std::sscanf(out.c_str() + at, ": shards %llu/%llu", &done,
+                          &submitted),
+              2)
+        << out;
+    EXPECT_GT(submitted, 0u);
+    EXPECT_EQ(done, submitted);
+    EXPECT_NE(out.find("workers, " + std::to_string(submitted) + " jobs,"),
+              std::string::npos)
+        << out;
 }
 #endif
 

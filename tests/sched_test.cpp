@@ -3,9 +3,9 @@
 /// deque, the persistent work-stealing pool (job groups, in-job spawning,
 /// reuse across batches), the sharded canonical-key index (perfbench's
 /// replay uses it), and the engine-level determinism contract — a multi-threaded synthesize_suite
-/// run yields the exact same canonical suite (keys, order, witnesses) as
-/// jobs=1, on both backends, at every shard depth including adaptive
-/// re-splitting. This binary also runs under ThreadSanitizer in CI.
+/// run yields the exact same canonical suite (keys, order, witnesses) and
+/// the same job count as jobs=1, on both backends. This binary also runs
+/// under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -229,9 +229,9 @@ TEST(WorkStealingPool, ConcurrentGroupsTrackTheirOwnStats)
 
 TEST(WorkStealingPool, JobsCanSpawnIntoTheirOwnGroup)
 {
-    // The mechanism behind adaptive shard re-splitting: a job trades
-    // itself for children, and wait() only returns once the whole spawn
-    // tree has drained.
+    // A job may submit follow-up jobs into its own group (the engine
+    // retries a faulted shard this way), and wait() only returns once the
+    // whole spawn tree has drained.
     sched::WorkStealingPool pool(3);
     const auto group = pool.make_group();
     std::atomic<int> leaves{0};
@@ -266,24 +266,18 @@ TEST(SchedStats, MergeSumsCountersAndMaxesOverlappingFields)
     a.workers = 2;
     a.jobs_run = 10;
     a.steals = 3;
-    a.lazy_resplits = 4;
-    a.closed_prefix_splits = 1;
     a.skip_enumerations = 100;
     a.queue_wait_seconds = 0.5;
     sched::SchedulerStats b;
     b.workers = 4;
     b.jobs_run = 5;
     b.steals = 2;
-    b.lazy_resplits = 6;
-    b.closed_prefix_splits = 2;
     b.skip_enumerations = 50;
     b.queue_wait_seconds = 0.25;
     a.merge(b);
     EXPECT_EQ(a.workers, 4);  // same-pool maximum, not a sum
     EXPECT_EQ(a.jobs_run, 15u);
     EXPECT_EQ(a.steals, 5u);
-    EXPECT_EQ(a.lazy_resplits, 10u);
-    EXPECT_EQ(a.closed_prefix_splits, 3u);
     EXPECT_EQ(a.skip_enumerations, 150u);
     EXPECT_EQ(a.queue_wait_seconds, 0.5);  // waits overlap: maximum
 }
@@ -443,188 +437,117 @@ TEST(SchedDeterminism, HardwareConcurrencyJobsProducesSameSuite)
     EXPECT_EQ(parallel.scheduler.workers, sched::resolve_jobs(0));
 }
 
-TEST(SchedDeterminism, ObservabilityOnIsByteIdenticalAtEveryShardDepth)
+TEST(SchedDeterminism, ObservabilityOnIsByteIdenticalAtEveryWorkerCount)
 {
     // The observability layer (metrics + trace) must be purely
     // observational: same fingerprint as the uninstrumented jobs=1 run at
-    // every shard depth, adaptive included. tests/obs_test.cpp sweeps the
-    // jobs axis; this covers the shard-depth axis.
+    // every worker count.
     const mtm::Model model = mtm::x86t_elt();
     const synth::SuiteResult reference = synth::synthesize_suite(
         model, "invlpg", suite_options(5, 1, synth::Backend::kEnumerative));
-    for (const int depth : {0, 1, 2}) {
+    for (const int jobs : {1, 2, 4}) {
         synth::SynthesisOptions options =
-            suite_options(5, 4, synth::Backend::kEnumerative);
-        options.shard_depth = depth;
+            suite_options(5, jobs, synth::Backend::kEnumerative);
         options.collect_metrics = true;
         obs::TraceCollector trace(4);
         options.trace = &trace;
         const synth::SuiteResult observed =
             synth::synthesize_suite(model, "invlpg", options);
         EXPECT_EQ(suite_fingerprint(reference), suite_fingerprint(observed))
-            << "shard_depth=" << depth;
+            << "jobs=" << jobs;
     }
+}
+
+/// The shards of one axiom's search: each event bound's static partition
+/// at synth::shard_depth_for(size) decisions.
+std::uint64_t
+partition_size(const mtm::Model& model, const std::string& axiom,
+               const synth::SynthesisOptions& options)
+{
+    std::uint64_t shards = 0;
+    for (int size = options.min_bound; size <= options.bound; ++size) {
+        shards += synth::partition_skeletons_at_depth(
+                      synth::engine_skeleton_options(model, axiom, options,
+                                                     size),
+                      synth::shard_depth_for(size))
+                      .size();
+    }
+    return shards;
 }
 
 TEST(SchedStats, CountersAreFilledAndJobsIndependent)
 {
-    // The shard list is a pure function of the options only without the
-    // timing-fed re-split feedback (a slow run, e.g. under a sanitizer,
-    // lowers the threshold); the AdaptiveSharding tests cover the feedback.
+    // The engine searches one static partition per event bound, so the job
+    // count is the partition's shard count — a pure function of the
+    // options, identical at every worker count.
     const mtm::Model model = mtm::x86t_elt();
     synth::SynthesisOptions options =
         suite_options(6, 1, synth::Backend::kEnumerative);
-    options.observed_cost_feedback = false;
     const synth::SuiteResult one =
-        synth::synthesize_suite(model, "invlpg", options);
-    options.jobs = 4;
-    const synth::SuiteResult four =
         synth::synthesize_suite(model, "invlpg", options);
     EXPECT_EQ(one.scheduler.workers, 1);
-    EXPECT_EQ(four.scheduler.workers, 4);
-    EXPECT_GT(one.scheduler.jobs_run, 0u);
-    EXPECT_EQ(one.scheduler.jobs_run, four.scheduler.jobs_run)
-        << "the shard list must not depend on the worker count";
+    EXPECT_EQ(one.scheduler.jobs_run,
+              partition_size(model, "invlpg", options));
+    EXPECT_EQ(one.scheduler.skip_enumerations, 0u);
     // Every candidate is searched and duplicates are dropped once, at the
     // merge, so the enumerative counters are pure functions of the
-    // options at every worker count and shard depth. At bound 6 the merge
-    // drops accepted isomorphs, so duplicates_rejected is exercised too.
+    // options at every worker count. At bound 6 the merge drops accepted
+    // isomorphs, so duplicates_rejected is exercised too.
     EXPECT_GT(one.duplicates_rejected, 0u);
-    for (const int depth : {0, 1, 2}) {
-        for (const int jobs : {1, 4}) {
-            options.jobs = jobs;
-            options.shard_depth = depth;
-            const synth::SuiteResult run =
-                synth::synthesize_suite(model, "invlpg", options);
-            const std::string where = "jobs=" + std::to_string(jobs) +
-                                      " shard_depth=" + std::to_string(depth);
-            EXPECT_EQ(suite_fingerprint(run), suite_fingerprint(one))
-                << where;
-            EXPECT_EQ(run.programs_considered, one.programs_considered)
-                << where;
-            EXPECT_EQ(run.executions_considered, one.executions_considered)
-                << where;
-            EXPECT_EQ(run.duplicates_rejected, one.duplicates_rejected)
-                << where;
-        }
+    for (const int jobs : {1, 2, 4}) {
+        options.jobs = jobs;
+        const synth::SuiteResult run =
+            synth::synthesize_suite(model, "invlpg", options);
+        const std::string where = "jobs=" + std::to_string(jobs);
+        EXPECT_EQ(run.scheduler.workers, jobs) << where;
+        EXPECT_EQ(run.scheduler.jobs_run, one.scheduler.jobs_run) << where;
+        EXPECT_EQ(suite_fingerprint(run), suite_fingerprint(one)) << where;
+        EXPECT_EQ(run.programs_considered, one.programs_considered)
+            << where;
+        EXPECT_EQ(run.executions_considered, one.executions_considered)
+            << where;
+        EXPECT_EQ(run.duplicates_rejected, one.duplicates_rejected)
+            << where;
     }
 }
 
-TEST(AdaptiveSharding, FixedDepthsAndAdaptiveProduceIdenticalSuites)
+TEST(StaticSharding, ShardDepthGrowsWithTheBoundUpToFour)
 {
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions adaptive =
-        suite_options(5, 2, synth::Backend::kEnumerative);
-    adaptive.shard_depth = 0;
-    const std::string reference = suite_fingerprint(
-        synth::synthesize_suite(model, "sc_per_loc", adaptive));
-    EXPECT_FALSE(reference.empty());
-    for (const int depth : {1, 2, 3}) {
-        synth::SynthesisOptions fixed = adaptive;
-        fixed.shard_depth = depth;
-        EXPECT_EQ(reference,
-                  suite_fingerprint(
-                      synth::synthesize_suite(model, "sc_per_loc", fixed)))
-            << "shard_depth=" << depth;
-    }
+    EXPECT_EQ(synth::shard_depth_for(2), 1);
+    EXPECT_EQ(synth::shard_depth_for(5), 1);
+    EXPECT_EQ(synth::shard_depth_for(6), 2);
+    EXPECT_EQ(synth::shard_depth_for(7), 3);
+    EXPECT_EQ(synth::shard_depth_for(8), 4);
+    EXPECT_EQ(synth::shard_depth_for(12), 4);
 }
 
-TEST(AdaptiveSharding, LazyResplitsFireAndAreJobsIndependent)
+TEST(StaticSharding, SuiteMatrixMatchesTheSequentialFixture)
 {
-    // A tiny threshold forces the lazy re-split path even at test bounds.
-    // The abandon trigger is a deterministic candidate count, so the
-    // re-split tree (and with it jobs_run) must be a pure function of the
-    // options — identical at every worker count — and the suite must match
-    // the default-threshold run.
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions opt =
-        suite_options(5, 1, synth::Backend::kEnumerative);
-    opt.shard_depth = 0;
-    opt.resplit_threshold = 16;
-    const synth::SuiteResult one =
-        synth::synthesize_suite(model, "sc_per_loc", opt);
-    EXPECT_GT(one.scheduler.lazy_resplits, 0u);
-    for (const int jobs : {2, 8}) {
-        synth::SynthesisOptions parallel = opt;
-        parallel.jobs = jobs;
-        const synth::SuiteResult many =
-            synth::synthesize_suite(model, "sc_per_loc", parallel);
-        EXPECT_EQ(suite_fingerprint(one), suite_fingerprint(many))
-            << "jobs=" << jobs;
-        EXPECT_EQ(one.scheduler.lazy_resplits, many.scheduler.lazy_resplits);
-        EXPECT_EQ(one.scheduler.closed_prefix_splits,
-                  many.scheduler.closed_prefix_splits);
-        EXPECT_EQ(one.scheduler.jobs_run, many.scheduler.jobs_run);
-    }
-    synth::SynthesisOptions coarse = opt;
-    coarse.resplit_threshold = 4096;
-    EXPECT_EQ(suite_fingerprint(one),
-              suite_fingerprint(
-                  synth::synthesize_suite(model, "sc_per_loc", coarse)));
-}
-
-TEST(AdaptiveSharding, SuiteMatrixMatchesEagerProbeFixture)
-{
-    // The byte-identical-suite contract across the full sweep matrix. The
-    // fixture expectation is the jobs=1 / shard-depth=1 run: a single
-    // worker searching the fixed depth-1 shards in submission order
-    // performs exactly the sequential enumeration the pre-PR eager-probe
-    // engine (and the paper's serial loop) performed, so its suite is the
-    // pre-PR fixture. Lazy re-splitting (depth 0, with a threshold small
-    // enough to actually fire) and every fixed depth must reproduce it at
-    // every worker count.
+    // The byte-identical-suite contract across worker counts. The fixture
+    // is the jobs=1 run: a single worker searching the shards in
+    // submission order performs exactly the sequential enumeration of the
+    // paper's serial loop, so every worker count must reproduce its suite
+    // and its programs counter (each candidate is searched exactly once).
     const mtm::Model model = mtm::x86t_elt();
     for (const std::string axiom : {"sc_per_loc", "invlpg"}) {
-        synth::SynthesisOptions fixture =
-            suite_options(5, 1, synth::Backend::kEnumerative);
-        fixture.shard_depth = 1;
+        const synth::SynthesisOptions fixture =
+            suite_options(6, 1, synth::Backend::kEnumerative);
         const synth::SuiteResult reference =
             synth::synthesize_suite(model, axiom, fixture);
         EXPECT_TRUE(reference.complete);
         EXPECT_FALSE(reference.tests.empty()) << axiom;
-        for (const int jobs : {1, 2, 4}) {
-            for (const int depth : {0, 1, 3}) {
-                synth::SynthesisOptions opt = fixture;
-                opt.jobs = jobs;
-                opt.shard_depth = depth;
-                opt.resplit_threshold = depth == 0 ? 32 : 0;
-                const synth::SuiteResult swept =
-                    synth::synthesize_suite(model, axiom, opt);
-                EXPECT_EQ(suite_fingerprint(reference),
-                          suite_fingerprint(swept))
-                    << axiom << " jobs=" << jobs << " depth=" << depth;
-                // Candidates are searched exactly once under lazy
-                // splitting (skip-resume never re-visits), so the
-                // programs counter matches the sequential fixture.
-                EXPECT_EQ(reference.programs_considered,
-                          swept.programs_considered)
-                    << axiom << " jobs=" << jobs << " depth=" << depth;
-            }
+        for (const int jobs : {2, 4, 8}) {
+            synth::SynthesisOptions opt = fixture;
+            opt.jobs = jobs;
+            const synth::SuiteResult swept =
+                synth::synthesize_suite(model, axiom, opt);
+            EXPECT_EQ(suite_fingerprint(reference), suite_fingerprint(swept))
+                << axiom << " jobs=" << jobs;
+            EXPECT_EQ(reference.programs_considered,
+                      swept.programs_considered)
+                << axiom << " jobs=" << jobs;
         }
     }
-}
-
-TEST(AdaptiveSharding, ClosedPrefixSplitsFireOnDeepRecursion)
-{
-    // With a threshold this small the re-split recursion descends past
-    // shards whose prefix closed thread 0 — pre-PR those dead-ended
-    // (split_shard returned empty and the whole subtree stayed one job);
-    // closed-prefix splitting keeps subdividing on thread 1+ decisions.
-    // The suite must stay identical to the unsplit run regardless.
-    const mtm::Model model = mtm::x86t_elt();
-    synth::SynthesisOptions opt =
-        suite_options(5, 2, synth::Backend::kEnumerative);
-    opt.shard_depth = 0;
-    opt.resplit_threshold = 4;
-    const synth::SuiteResult deep =
-        synth::synthesize_suite(model, "sc_per_loc", opt);
-    EXPECT_GT(deep.scheduler.lazy_resplits, 0u);
-    EXPECT_GT(deep.scheduler.closed_prefix_splits, 0u);
-    synth::SynthesisOptions fixed = opt;
-    fixed.shard_depth = 1;
-    EXPECT_EQ(suite_fingerprint(
-                  synth::synthesize_suite(model, "sc_per_loc", fixed)),
-              suite_fingerprint(deep));
 }
 
 TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
@@ -655,7 +578,7 @@ TEST(SchedStats, QueueWaitExcludedFromSuiteSeconds)
     }
 }
 
-TEST(AdaptiveSharding, SharedPoolSweepMatchesSerialDriver)
+TEST(StaticSharding, SharedPoolSweepMatchesSerialDriver)
 {
     // synthesize_all_parallel runs every axiom as ONE fused search; the
     // result must be indistinguishable from the serial per-axiom driver.

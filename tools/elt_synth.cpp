@@ -26,35 +26,29 @@
 ///                     search of them all, not each suite
 ///   --backend NAME    enum (default) | sat
 ///   --jobs N          scheduler workers (0 = one per hardware thread)
-///   --shard-depth D   auto (default: lazy adaptive re-splitting) | fixed
-///                     prefix depth 1..32; the suite is identical either way
-///   --resplit-threshold auto|N
-///                     adaptive mode: abandon-and-split a shard after N
-///                     visited candidates (auto = cost model from the
-///                     bound/VM/dirty-bit mix)
 ///   --progress        stderr heartbeat every ~2s while a suite runs:
-///                     shards done/submitted, candidates visited (with an
-///                     instantaneous candidates/sec rate), pre-merge tests
-///                     found, checkpoint save/replay counters, and the
-///                     elapsed time (no ETA: lazy re-splits keep adding
-///                     shards, so the completion ratio predicts nothing).
-///                     stdout (the suite itself) is untouched; off by
-///                     default
+///                     shards done/submitted (the shard count is fixed
+///                     when the search starts; only a retried shard adds
+///                     one), candidates visited (with an instantaneous
+///                     candidates/sec rate), pre-merge tests found,
+///                     checkpoint save/replay counters, and the elapsed
+///                     time (no ETA: shards differ widely in cost, so the
+///                     shard ratio is no time estimate). stdout (the suite
+///                     itself) is untouched; off by default
 ///   --alloc-stats     attribute every operator-new call to the active
 ///                     phase and call-site bucket (obs::AllocTracker) and
 ///                     print the search's breakdown to stderr; also
 ///                     carried in --metrics-json reports
 ///   --stats           print the search's scheduler counters (jobs,
-///                     steals, lazy re-splits, closed-prefix splits, skip
-///                     re-enumerations, queue wait; one set
+///                     steals, queue wait; one set
 ///                     for the fused --all search); under --backend sat
 ///                     also the per-suite SAT solver counters, plus their
 ///                     all-axiom sum (solves, decisions,
 ///                     propagations, conflicts, ..., plus the incremental
 ///                     session's assumed literals, retired activation
 ///                     guards, and retained learned clauses)
-///   --trace FILE      record shard jobs, suites, and re-split lineage as
-///                     spans and write a Chrome trace-event JSON file
+///   --trace FILE      record shard jobs and the search as spans and
+///                     write a Chrome trace-event JSON file
 ///                     (open in Perfetto or chrome://tracing); see
 ///                     docs/observability.md
 ///   --metrics-json FILE
@@ -146,8 +140,6 @@ struct Args {
     double budget = 0;
     std::string backend = "enum";
     int jobs = 1;
-    int shard_depth = 0;                  // 0 = adaptive
-    std::uint64_t resplit_threshold = 0;  // 0 = cost model
     bool stats = false;
     bool progress = false;
     bool alloc_stats = false;
@@ -176,15 +168,10 @@ print_stats(const std::string& scope, const sched::SchedulerStats& s)
     std::fprintf(
         stderr,
         "[%s] scheduler: %d workers, %llu jobs, %llu steals, "
-        "%llu lazy re-splits (%llu closed-prefix), "
-        "%llu skip re-enumerations, %.3fs queue wait\n",
+        "%.3fs queue wait\n",
         scope.c_str(), s.workers,
         static_cast<unsigned long long>(s.jobs_run),
-        static_cast<unsigned long long>(s.steals),
-        static_cast<unsigned long long>(s.lazy_resplits),
-        static_cast<unsigned long long>(s.closed_prefix_splits),
-        static_cast<unsigned long long>(s.skip_enumerations),
-        s.queue_wait_seconds);
+        static_cast<unsigned long long>(s.steals), s.queue_wait_seconds);
     if (s.shard_retries + s.shards_quarantined + s.checkpoint_shards_saved +
             s.checkpoint_shards_replayed + s.job_faults >
         0) {
@@ -347,8 +334,6 @@ run_search(const mtm::Model& model, const std::vector<std::string>& axioms,
     options.backend = args.backend == "sat" ? synth::Backend::kSat
                                             : synth::Backend::kEnumerative;
     options.jobs = args.jobs;
-    options.shard_depth = args.shard_depth;
-    options.resplit_threshold = args.resplit_threshold;
     options.collect_metrics = report != nullptr;
     // Allocation attribution rides with --alloc-stats and (so the report
     // carries real alloc data) with --metrics-json.
@@ -491,29 +476,6 @@ main(int argc, char** argv)
             if (!tools::parse_jobs(text, &args.jobs)) {
                 return usage_error(flag, tools::kJobsExpectation, text);
             }
-        } else if (flag == "--shard-depth") {
-            const std::string depth = value();
-            if (depth == "auto") {
-                args.shard_depth = 0;
-            } else if (parse_int(depth, 1, 32, &parsed)) {
-                args.shard_depth = static_cast<int>(parsed);
-            } else {
-                return usage_error(flag, "'auto' or a fixed depth in 1..32",
-                                   depth);
-            }
-        } else if (flag == "--resplit-threshold") {
-            const std::string threshold = value();
-            if (threshold == "auto") {
-                args.resplit_threshold = 0;
-            } else if (parse_int(threshold, 1,
-                                 std::int64_t{1} << 32, &parsed)) {
-                args.resplit_threshold =
-                    static_cast<std::uint64_t>(parsed);
-            } else {
-                return usage_error(
-                    flag, "'auto' or a candidate count in 1..2^32",
-                    threshold);
-            }
         } else if (flag == "--checkpoint") {
             args.checkpoint_path = value();
             if (args.checkpoint_path.empty()) {
@@ -642,9 +604,9 @@ main(int argc, char** argv)
     // still merged, printed, and (if journaling) resumable.
     const util::CancelToken cancel = util::install_signal_cancel();
     // Checkpoint journal: the fingerprint covers everything that shapes
-    // the shard task tree or the suites, the searched axioms included (a
+    // the shard partition or the suites, the searched axioms included (a
     // fused --all search walks another stream than one axiom's). --jobs is
-    // deliberately absent — the suite and the task tree are byte-identical
+    // deliberately absent — the suite and the partition are byte-identical
     // across it (the determinism contract), so a resume may change it.
     std::unique_ptr<synth::CheckpointJournal> journal;
     if (!args.checkpoint_path.empty()) {
@@ -657,9 +619,7 @@ main(int argc, char** argv)
             " bound=" + std::to_string(args.bound) +
             " threads=" + std::to_string(args.threads) +
             " vas=" + std::to_string(args.vas) +
-            " backend=" + args.backend +
-            " shard-depth=" + std::to_string(args.shard_depth) +
-            " resplit-threshold=" + std::to_string(args.resplit_threshold);
+            " backend=" + args.backend;
         std::string journal_error;
         bool refused = false;
         journal = args.resume
