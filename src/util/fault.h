@@ -6,7 +6,7 @@
 /// function of (seed, site, key, attempt): the key is the candidate's
 /// deterministic merge ticket (or the shard's ticket base at shard
 /// boundaries), so the same plan fires at the same logical places at
-/// every `--jobs` value and shard depth — which is what lets the fault
+/// every `--jobs` value — which is what lets the fault
 /// matrix in tests/fault_test.cpp assert byte-identical suites after
 /// retries. See docs/robustness.md, "Fault injection".
 ///

@@ -2,8 +2,8 @@
 /// Tests for the fault-tolerant synthesis runtime (docs/robustness.md):
 /// the deterministic fault-injection plan, the solver's persistent
 /// conflict budget and interrupt hook, cooperative cancellation, the
-/// fault matrix (injected faults at every site, across jobs counts and
-/// shard depths, must leave the synthesized suite byte-identical after
+/// fault matrix (injected faults at every site, across jobs counts, must
+/// leave the synthesized suite byte-identical after
 /// retries), quarantine of deterministic faults, and the crash-safe
 /// checkpoint journal — including a real SIGKILL mid-run followed by a
 /// byte-identical resume.
@@ -401,7 +401,7 @@ TEST(Cancellation, BudgetAndCancelAreHonouredAtEveryBound)
 
 // ---------------------------------------------------------------------------
 // The fault matrix: a rate=1 transient fault at every site, across jobs
-// counts and shard depths, must be absorbed by retries into a suite
+// counts, must be absorbed by retries into a suite
 // byte-identical to the fault-free baseline.
 
 TEST(FaultMatrix, TransientFaultsPreserveTheSuiteAtEverySite)
