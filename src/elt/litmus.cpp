@@ -31,11 +31,14 @@ parse_indexed_name(const std::string& token, const char* alphabet, int count)
         return base;
     }
     try {
+        // A program holds at most 64 events, so no name indexes past 63;
+        // bounding the round first also keeps the product from overflowing.
         const int round = std::stoi(token.substr(1));
-        if (round <= 0) {
+        if (round <= 0 || round > 64) {
             return -1;
         }
-        return round * count + base;
+        const int index = round * count + base;
+        return index < 64 ? index : -1;
     } catch (...) {
         return -1;
     }

@@ -285,9 +285,12 @@ TEST(Fuzz, XmlMutantsAreRejectedOrCheckedNeverAborted)
     EXPECT_GT(outcomes.accepted, 0);
 }
 
-TEST(Fuzz, XmlCrashesFoundByTheFuzzerAreRejected)
+TEST(Fuzz, CrashesFoundByTheFuzzerAreRejected)
 {
-    // Mutants that once aborted: a thread count sized an allocation, a
+    // A litmus address name whose index overflowed an int (UBSan).
+    EXPECT_FALSE(elt::parse_litmus("elt t\nthread P0\n  R x2147483647\n")
+                     .has_value());
+    // XML mutants that once aborted: a thread count sized an allocation, a
     // witness walk indexed past the events (`walk=6"3"` reads as 6), and a
     // remap source below kNone indexed before them.
     const char* const corpus[] = {
