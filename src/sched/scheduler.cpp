@@ -86,10 +86,6 @@ struct JobRecord {
     std::shared_ptr<WorkStealingPool::JobGroup> group;
 };
 
-/// How many injected jobs a worker moves onto its own deque per injection
-/// lock acquisition (the rest stay injectable for other workers).
-constexpr int kInjectChunk = 8;
-
 /// How long a worker parks between re-polls while jobs are still in flight
 /// somewhere (they may spawn children through the lock-free owner-push
 /// path, whose wakeup can race the park decision). Shard jobs run for
@@ -145,27 +141,20 @@ struct WorkStealingPool::Impl {
     /// parks on the condition variable when all three come up empty.
     void work(int self);
 
-    /// Pulls from the injection queue, moving a chunk onto \p self's deque.
+    /// Pulls one job from the injection queue. One per lock acquisition:
+    /// jobs are coarse (a shard search), and a job moved onto a busy
+    /// worker's deque would wait behind that worker's current job until
+    /// the queue drained, so submission order would no longer be start
+    /// order.
     bool
-    take_injected(int self, JobRecord** out)
+    take_injected(JobRecord** out)
     {
-        int moved = 0;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (inject.empty()) {
-                return false;
-            }
-            *out = inject.front();
-            inject.pop_front();
-            while (!inject.empty() && moved < kInjectChunk) {
-                deques[static_cast<std::size_t>(self)]->push(inject.front());
-                inject.pop_front();
-                ++moved;
-            }
+        std::lock_guard<std::mutex> lock(mu);
+        if (inject.empty()) {
+            return false;
         }
-        if (moved > 0 && sleepers.load(std::memory_order_relaxed) > 0) {
-            cv.notify_all();
-        }
+        *out = inject.front();
+        inject.pop_front();
         return true;
     }
 
@@ -294,7 +283,7 @@ WorkStealingPool::Impl::work(int self)
     JobRecord* rec = nullptr;
     for (;;) {
         if (deques[static_cast<std::size_t>(self)]->pop(&rec) ||
-            take_injected(self, &rec) || try_steal(self, &rec)) {
+            take_injected(&rec) || try_steal(self, &rec)) {
             execute(rec, self);
             continue;
         }

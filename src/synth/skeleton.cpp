@@ -776,29 +776,22 @@ meets_requirements(const Program& program, const SkeletonOptions& options)
     return wpte && hit;
 }
 
-int
-unpinned_events(const SkeletonShard& shard)
-{
-    const std::vector<Slot> slots = available_slots(shard.options);
-    int used = 0;
-    for (const int ordinal : shard.prefix) {
-        if (ordinal != kCloseThread) {
-            used += weight(slots[static_cast<std::size_t>(ordinal)],
-                           shard.options);
-        }
-    }
-    return shard.options.num_events - used;
-}
-
 std::vector<SkeletonShard>
 split_shard(const SkeletonShard& shard)
 {
     std::vector<SkeletonShard> children;
     const std::vector<Slot> slots = available_slots(shard.options);
-    const int closed_threads = static_cast<int>(
-        std::count(shard.prefix.begin(), shard.prefix.end(), kCloseThread));
-    const int remaining = unpinned_events(shard);
-    const int used = shard.options.num_events - remaining;
+    int used = 0;
+    int closed_threads = 0;
+    for (const int ordinal : shard.prefix) {
+        if (ordinal == kCloseThread) {
+            ++closed_threads;
+        } else {
+            used += weight(slots[static_cast<std::size_t>(ordinal)],
+                           shard.options);
+        }
+    }
+    const int remaining = shard.options.num_events - used;
     const bool thread_open =
         !shard.prefix.empty() && shard.prefix.back() != kCloseThread;
     if (!thread_open) {

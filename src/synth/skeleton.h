@@ -110,11 +110,6 @@ std::vector<SkeletonShard> partition_skeletons_at_depth(
 /// structure, but cannot be subdivided further.
 std::vector<SkeletonShard> split_shard(const SkeletonShard& shard);
 
-/// The events \p shard's prefix leaves to its free decisions: the event
-/// bound minus the weights of the slots the prefix pins. A subtree's size
-/// grows steeply with it, so it ranks shards by expected cost.
-int unpinned_events(const SkeletonShard& shard);
-
 /// As for_each_skeleton(options, visit), restricted to one shard.
 ///
 /// \p interrupt, when provided, is polled every 1024 units of enumeration

@@ -565,6 +565,41 @@ TEST(Checkpoint, ResumeReplaysJournaledShardsByteIdentically)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, ResumeReplaysJournaledShardsAfterTheBudgetExpired)
+{
+    // A replay costs no search, so an expired budget drops only the shards
+    // that would need one: resuming a fully journaled run under a budget
+    // that expires at once still replays every record.
+    const mtm::Model model = mtm::x86t_elt();
+    const std::string path = temp_path("budgeted.journal");
+    const std::string fingerprint = "fault_test budgeted resume v1";
+    std::string error;
+    auto journal =
+        synth::CheckpointJournal::create(path, fingerprint, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    synth::SynthesisOptions opt = small_options(4, 5);
+    opt.jobs = 2;
+    opt.checkpoint = journal.get();
+    const synth::SuiteResult first =
+        synth::synthesize_suite(model, "invlpg", opt);
+    ASSERT_TRUE(first.complete);
+    journal.reset();
+
+    auto resumed =
+        synth::CheckpointJournal::resume(path, fingerprint, &error);
+    ASSERT_NE(resumed, nullptr) << error;
+    opt.checkpoint = resumed.get();
+    opt.time_budget_seconds = 1e-9;
+    const synth::SuiteResult second =
+        synth::synthesize_suite(model, "invlpg", opt);
+    EXPECT_TRUE(second.complete);
+    EXPECT_EQ(second.scheduler.checkpoint_shards_replayed,
+              first.scheduler.checkpoint_shards_saved);
+    EXPECT_EQ(suite_fingerprint(second), suite_fingerprint(first));
+    EXPECT_EQ(second.programs_considered, first.programs_considered);
+    std::remove(path.c_str());
+}
+
 TEST(Checkpoint, ResumeReplaysAFusedSearchByteIdentically)
 {
     // One journal serves the fused all-axiom search: each record carries

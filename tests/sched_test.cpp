@@ -524,10 +524,12 @@ TEST(StaticSharding, ShardDepthGrowsWithTheBoundUpToFour)
 TEST(StaticSharding, SuiteMatrixMatchesTheSequentialFixture)
 {
     // The byte-identical-suite contract across worker counts. The fixture
-    // is the jobs=1 run: a single worker searching the shards in
-    // submission order performs exactly the sequential enumeration of the
-    // paper's serial loop, so every worker count must reproduce its suite
-    // and its programs counter (each candidate is searched exactly once).
+    // is the jobs=1 run. It equals the sequential suite of the paper's
+    // serial loop whatever order the shards run in: tickets number the
+    // candidates in partition order, which is the sequential enumeration
+    // order, and the merge keeps each class's smallest ticket. So every
+    // worker count must reproduce its suite and its programs counter
+    // (each candidate is searched exactly once).
     const mtm::Model model = mtm::x86t_elt();
     for (const std::string axiom : {"sc_per_loc", "invlpg"}) {
         const synth::SynthesisOptions fixture =
